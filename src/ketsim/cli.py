@@ -329,6 +329,18 @@ def cmd_sample(args) -> int:
 
 # ------------------------------------------------------------------ main
 
+def _int_at_least(low: int):
+    """argparse type for an integer flag; a value below ``low`` is a usage error."""
+
+    def integer(text: str) -> int:  # argparse names the type in its error for a non-integer
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ketsim",
@@ -346,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_evolve = sub.add_parser("evolve", help="advance a state through time clicks")
     p_evolve.add_argument("graph")
     p_evolve.add_argument("--state", required=True, help="state file or literal bitstring")
-    p_evolve.add_argument("--steps", type=int, default=1)
+    p_evolve.add_argument("--steps", type=_int_at_least(0), default=1)
     p_evolve.add_argument("--regime", default="quantum", choices=_EVOLVE_REGIMES)
     p_evolve.add_argument("--unchecked", action="store_true", help="skip regime validation")
     p_evolve.add_argument("--probabilities", action="store_true")
@@ -368,9 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample = sub.add_parser("sample", help="evolve, then collapse-sample repeatedly")
     p_sample.add_argument("graph")
     p_sample.add_argument("--state", required=True)
-    p_sample.add_argument("--steps", type=int, default=1)
-    p_sample.add_argument("--shots", type=int, default=1000)
-    p_sample.add_argument("--seed", type=int, default=None)
+    p_sample.add_argument("--steps", type=_int_at_least(0), default=1)
+    p_sample.add_argument("--shots", type=_int_at_least(1), default=1000)
+    p_sample.add_argument("--seed", type=_int_at_least(0), default=None)
     p_sample.add_argument("--regime", default="quantum", choices=_EVOLVE_REGIMES)
     p_sample.add_argument("--unchecked", action="store_true")
     p_sample.add_argument("--tol", type=float, default=1e-9)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -92,11 +91,15 @@ def _build_standard(name: str) -> Gate:
     raise ValueError(f"unknown gate name {name!r}")
 
 
+def _identity_name(wires: int) -> str:
+    return f"I({wires})" if wires != 1 else "I"
+
+
 def identity(wires: int) -> Gate:
     """Identity gate on the given number of wires."""
     if wires < 0:
         raise ValueError("wire count cannot be negative")
-    return Gate(f"I({wires})" if wires != 1 else "I", np.eye(2**wires), wires, wires, quantum=True)
+    return Gate(_identity_name(wires), np.eye(2**wires), wires, wires, quantum=True)
 
 
 def standard_gate(name: str) -> Gate:
@@ -201,12 +204,24 @@ class Circuit:
 def circuit_matrix(c: Circuit) -> Gate:
     """Collapse a circuit to a single gate.
 
-    Gates within a layer combine by tensor product (top gate outermost);
-    layers then compose sequentially in time order.  The empty circuit
-    is the identity on its wires.
+    The result equals composing the layers sequentially in time order,
+    each layer the tensor product of its gates (top gate outermost); the
+    empty circuit is the identity on its wires.  It is computed without
+    forming any layer's Kronecker product: the columns of the identity
+    are pushed through one gate at a time, viewing the block as
+    (2^above, 2^in, 2^below * columns) and contracting the gate's wires
+    with one batched matmul, O(4^n * 2^k) per k-wire gate instead of
+    O(8^n) per layer.  Only the finished gate is validated.
     """
-    total = identity(c.wires)
-    for layer in c.layers:
-        if layer:
-            total = sequential(total, reduce(parallel, layer))
-    return total
+    total = np.eye(2**c.wires)
+    name = _identity_name(c.wires)
+    quantum = True
+    for layer in filter(None, c.layers):  # only a zero-wire circuit has empty layers
+        above = 0  # output wires of the gates already applied in this layer
+        for g in layer:
+            block = total.reshape(2**above, 2**g.in_bits, -1)
+            total = np.matmul(g.matrix, block).reshape(-1, 2**c.wires)
+            above += g.out_bits
+        name += ">" + "|".join(g.name for g in layer)
+        quantum = quantum and all(g.quantum for g in layer)
+    return Gate(name, total, c.wires, c.out_wires, quantum)

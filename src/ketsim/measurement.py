@@ -3,23 +3,18 @@
 Measuring a state vector in the standard basis yields outcome j with
 probability |c_j|^2 / S where S is the squared norm; the state then
 collapses to the basis ket at the sampled index.  Observables are
-hermitian matrices; their spectral decomposition is computed with
-cyclic Jacobi rotations extended to complex entries, which is entirely
-adequate at the few-qubit sizes this package targets.
+hermitian matrices; their spectral decomposition comes from LAPACK's
+hermitian eigensolver (``np.linalg.eigh``).  A joint state is a product
+exactly when its amplitude grid has Schmidt rank one, which is tested
+on the grid's two largest singular values.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import DEFAULT_TOL, as_matrix, as_state, norm, normalize, validate
-
-# Jacobi sweep controls: stop once the off-diagonal Frobenius norm is
-# negligible, or after a generous fixed number of sweeps.
-_OFF_DIAGONAL_GOAL = 1e-12
-_MAX_SWEEPS = 100
 
 
 def random_source(seed: int | None = None) -> np.random.Generator:
@@ -75,37 +70,13 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def _jacobi_rotation(n: int, p: int, q: int, a_pp: float, a_qq: float, g: complex) -> np.ndarray:
-    """Unitary rotation in the (p, q) plane that zeroes entry [p, q].
-
-    Factoring out the phase of g reduces the choice of angle to the
-    classic real symmetric case for the 2x2 block [[a_pp, |g|], [|g|, a_qq]].
-    """
-    phase = g / abs(g)
-    tau = (a_qq - a_pp) / (2 * abs(g))
-    t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
-    rot = np.eye(n, dtype=np.complex128)
-    rot[p, p] = c
-    rot[p, q] = s
-    rot[q, p] = -np.conj(phase) * s
-    rot[q, q] = np.conj(phase) * c
-    return rot
-
-
-def _off_diagonal_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.sqrt((off.real**2 + off.imag**2).sum()))
-
-
 def spectral_decompose(observable, tol: float = DEFAULT_TOL) -> EigenDecomposition:
-    """Full eigensystem of a hermitian matrix by cyclic Jacobi sweeps.
+    """Full eigensystem of a hermitian matrix.
 
-    Each rotation annihilates one off-diagonal pair; sweeps repeat until
-    the remaining off-diagonal mass is negligible.  Eigenvalues come out
-    real (sorted ascending) and the eigenvector columns are orthonormal,
-    with A @ v_j = lambda_j * v_j for each column.
+    After the hermitian check the matrix is symmetrised and handed to
+    ``np.linalg.eigh``.  Eigenvalues come out real (sorted ascending)
+    and the eigenvector columns are orthonormal, with
+    A @ v_j = lambda_j * v_j for each column.
     """
     m = as_matrix(observable)
     violations = validate(m, "hermitian", tol)
@@ -113,22 +84,7 @@ def spectral_decompose(observable, tol: float = DEFAULT_TOL) -> EigenDecompositi
         raise ValueError("observable must be hermitian: " + "; ".join(violations))
     a = np.asarray(m, dtype=np.complex128)
     a = (a + a.conj().T) / 2  # kill asymmetry dust within tol
-    n = a.shape[0]
-    vecs = np.eye(n, dtype=np.complex128)
-    for _ in range(_MAX_SWEEPS):
-        if _off_diagonal_norm(a) < _OFF_DIAGONAL_GOAL:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                g = a[p, q]
-                if abs(g) < 1e-30:
-                    continue
-                rot = _jacobi_rotation(n, p, q, a[p, p].real, a[q, q].real, g)
-                a = rot.conj().T @ a @ rot
-                vecs = vecs @ rot
-    eigenvalues = np.diag(a).real.copy()
-    order = np.argsort(eigenvalues, kind="stable")
-    return EigenDecomposition(eigenvalues[order], vecs[:, order])
+    return EigenDecomposition(*np.linalg.eigh(a))
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,10 +100,13 @@ def is_product_state(state, dim_a: int, dim_b: int, tol: float = DEFAULT_TOL) ->
     """Decide whether a combined state factors over a dim_a x dim_b split.
 
     The amplitudes, reshaped into a dim_a-by-dim_b grid, form a rank-one
-    grid exactly when the state is a tensor product; rank one is detected
-    by every 2x2 minor vanishing (checked on the normalized state).  For
-    product states the factors are read off a maximal-modulus pivot and
-    re-tensor to the input up to one overall scalar.
+    grid exactly when the state is a tensor product.  On the normalized
+    grid with singular values s1 >= s2 >= ..., the state counts as a
+    product when s1 * s2 <= tol (always, when a side has dimension 1).
+    That product bounds every 2x2 minor of the grid, so no minor of a
+    state called a product exceeds tol.  For product states the factors
+    are read off a maximal-modulus pivot and re-tensor to the input up
+    to one overall scalar.
     """
     v = as_state(state)
     if dim_a < 1 or dim_b < 1 or dim_a * dim_b != v.shape[0]:
@@ -157,13 +116,9 @@ def is_product_state(state, dim_a: int, dim_b: int, tol: float = DEFAULT_TOL) ->
     if norm(v) == 0.0:
         raise ValueError("cannot test the zero vector")
     grid = normalize(v).reshape(dim_a, dim_b)
-    for i in range(dim_a - 1):
-        for k in range(i + 1, dim_a):
-            for j in range(dim_b - 1):
-                for l in range(j + 1, dim_b):
-                    minor = grid[i, j] * grid[k, l] - grid[i, l] * grid[k, j]
-                    if abs(minor) > tol:
-                        return SeparabilityResult(False)
+    sigma = np.linalg.svd(grid, compute_uv=False)
+    if sigma.shape[0] > 1 and sigma[0] * sigma[1] > tol:
+        return SeparabilityResult(False)
     r, c = np.unravel_index(int(np.argmax(np.abs(grid))), grid.shape)
     factor_a = grid[:, c].copy()
     factor_b = grid[r, :] / grid[r, c]

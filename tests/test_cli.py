@@ -345,3 +345,24 @@ def test_bad_choices_exit_two(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["launch"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("sample", "--shots", "0"),
+        ("sample", "--shots", "-3"),
+        ("sample", "--steps", "-1"),
+        ("sample", "--seed", "-1"),
+        ("evolve", "--steps", "-1"),
+    ],
+)
+def test_out_of_range_counts_are_usage_errors(tmp_path, capsys, command, flag, value):
+    graph = tmp_path / "h.graph"
+    graph.write_text(graph_text(standard_gate("H").matrix))
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(graph), "--state", "0", flag, value])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert f"error: argument {flag}: must be at least" in captured.err
+    assert captured.out == ""

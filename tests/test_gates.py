@@ -1,4 +1,6 @@
 """Gate library, truth tables, and circuit composition."""
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -263,3 +265,70 @@ def test_reversible_gates_mix_freely():
 
 def test_classical_only_circuits_allowed():
     Circuit(4, [[standard_gate("AND"), standard_gate("OR")], [standard_gate("NAND")]])
+
+
+# --- circuit_matrix against the layer-by-layer Kronecker reference ----------------
+
+QUANTUM_GATES = ("H", "NOT", "I", "CNOT", "U")
+CLASSICAL_GATES = ("AND", "NAND", "OR", "NOR", "NOT", "CNOT")
+
+
+def random_unitary_gate(rng, wires):
+    z = rng.normal(size=(2**wires, 2**wires)) + 1j * rng.normal(size=(2**wires, 2**wires))
+    q, r = np.linalg.qr(z)
+    return Gate(f"U{wires}", q * (np.diag(r) / np.abs(np.diag(r))), wires, wires, quantum=True)
+
+
+def random_layer(rng, width, names):
+    """Gates drawn from ``names`` tiling ``width`` wires top to bottom."""
+    layer = []
+    while width > 0:
+        name = names[int(rng.integers(len(names)))]
+        gate = random_unitary_gate(rng, int(rng.integers(1, 3))) if name == "U" else standard_gate(name)
+        if gate.in_bits <= width:
+            layer.append(gate)
+            width -= gate.in_bits
+    return layer
+
+
+def random_circuit(rng, kind):
+    wires = int(rng.integers(0 if kind == "empty" else 1, 9))
+    if kind == "empty":
+        return Circuit(wires)
+    names = QUANTUM_GATES if kind == "quantum" else CLASSICAL_GATES
+    layers, width = [], wires
+    for _ in range(int(rng.integers(1, 5))):
+        layer = random_layer(rng, width, names)
+        layers.append(layer)
+        width = sum(g.out_bits for g in layer)
+    return Circuit(wires, layers)
+
+
+def reference_circuit_matrix(c):
+    """Each layer as a Kronecker product of its gates, layers composed in time order."""
+    total = identity(c.wires)
+    for layer in c.layers:
+        if layer:
+            total = sequential(total, reduce(parallel, layer))
+    return total
+
+
+@pytest.mark.parametrize("kind", ["quantum", "classical", "empty"])
+def test_circuit_matrix_matches_kronecker_reference(kind):
+    rng = np.random.default_rng({"quantum": 101, "classical": 103, "empty": 107}[kind])
+    for _ in range(40):
+        c = random_circuit(rng, kind)
+        got = circuit_matrix(c)
+        want = reference_circuit_matrix(c)
+        assert got.name == want.name
+        assert (got.in_bits, got.out_bits, got.quantum) == (want.in_bits, want.out_bits, want.quantum)
+        assert got.matrix.dtype == want.matrix.dtype
+        assert got.matrix.shape == want.matrix.shape
+        assert np.max(np.abs(got.matrix - want.matrix)) <= 1e-12
+
+
+def test_circuit_matrix_skips_empty_layers_on_zero_wires():
+    c = Circuit(0, [[], []])
+    got = circuit_matrix(c)
+    assert got.name == reference_circuit_matrix(c).name == "I(0)"
+    assert np.array_equal(got.matrix, np.eye(1))

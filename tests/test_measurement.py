@@ -174,6 +174,29 @@ def test_decomposition_residual_orthogonality_reconstruction():
         assert np.max(np.abs(rebuilt - m)) <= 1e-7
 
 
+@pytest.mark.parametrize("n", [32, 64])
+def test_large_decomposition_matches_reference(n):
+    rng = np.random.default_rng(n)
+    m = random_hermitian(rng, n)
+    dec = spectral_decompose(m)
+    vals, vecs = dec.eigenvalues, dec.eigenvectors
+    assert np.max(np.abs(vals - np.linalg.eigvalsh(m))) < 1e-8
+    assert np.max(np.linalg.norm(m @ vecs - vecs * vals, axis=0)) < 1e-8
+    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(n))) < 1e-10
+
+
+def test_degenerate_spectrum_keeps_multiplicity_and_orthonormal_basis():
+    rng = np.random.default_rng(17)
+    spectrum = np.array([-1.0, 2.0, 2.0, 2.0, 5.0, 5.0])
+    q, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+    m = (q * spectrum) @ q.conj().T
+    dec = spectral_decompose(m)
+    vals, vecs = dec.eigenvalues, dec.eigenvectors
+    assert np.max(np.abs(vals - spectrum)) < 1e-12
+    assert np.max(np.linalg.norm(m @ vecs - vecs * vals, axis=0)) < 1e-12
+    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(6))) < 1e-12
+
+
 def test_decompose_rejects_non_hermitian():
     with pytest.raises(ValueError, match="hermitian"):
         spectral_decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -219,3 +242,65 @@ def test_product_test_rejects_bad_split_and_zero():
         is_product_state(np.ones(6), 2, 2)
     with pytest.raises(ValueError, match="zero"):
         is_product_state(np.zeros(4), 2, 2)
+
+
+def minor_loop_is_product(state, dim_a, dim_b, tol=1e-9):
+    """Brute-force reference: every 2x2 minor of the normalized grid within tol."""
+    grid = (state / np.linalg.norm(state)).reshape(dim_a, dim_b)
+    for i in range(dim_a - 1):
+        for k in range(i + 1, dim_a):
+            for j in range(dim_b - 1):
+                for l in range(j + 1, dim_b):
+                    if abs(grid[i, j] * grid[k, l] - grid[i, l] * grid[k, j]) > tol:
+                        return False
+    return True
+
+
+def grid_with_singular_values(rng, dim_a, dim_b, sigma):
+    """Flattened dim_a x dim_b grid U diag(sigma) V† with random unitary U, V."""
+    def unitary(n):
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        return q
+
+    k = len(sigma)
+    return (unitary(dim_a)[:, :k] * sigma) @ unitary(dim_b)[:k, :]
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-4])
+@pytest.mark.parametrize("factor, product", [(0.5, True), (2.0, False)])
+def test_product_verdict_on_either_side_of_tol(tol, factor, product):
+    rng = np.random.default_rng(31)
+    small = factor * tol
+    sigma = np.array([np.sqrt(1 - small**2), small])  # unit norm, s1 * s2 ~ factor * tol
+    state = grid_with_singular_values(rng, 3, 4, sigma).reshape(-1)
+    assert is_product_state(state, 3, 4, tol).is_product is product
+
+
+def test_product_verdict_matches_minor_loop_reference():
+    rng = np.random.default_rng(37)
+    for dim_a in range(1, 7):
+        for dim_b in range(1, 7):
+            a = rng.normal(size=dim_a) + 1j * rng.normal(size=dim_a)
+            b = rng.normal(size=dim_b) + 1j * rng.normal(size=dim_b)
+            product = np.kron(a, b)
+            assert is_product_state(product, dim_a, dim_b).is_product
+            assert minor_loop_is_product(product, dim_a, dim_b)
+            generic = rng.normal(size=dim_a * dim_b) + 1j * rng.normal(size=dim_a * dim_b)
+            want = minor_loop_is_product(generic, dim_a, dim_b)
+            assert want == (min(dim_a, dim_b) == 1)
+            assert is_product_state(generic, dim_a, dim_b).is_product == want
+
+
+def test_every_product_verdict_passes_the_minor_loop():
+    # near the threshold the singular-value test may call a state entangled
+    # that the minor loop accepts, never the other way round
+    rng = np.random.default_rng(41)
+    for _ in range(300):
+        dim_a, dim_b = (int(d) for d in rng.integers(2, 7, size=2))
+        k = min(dim_a, dim_b)
+        sigma = np.zeros(k)
+        sigma[1:] = 10.0 ** rng.uniform(-11, -8, size=k - 1)
+        sigma[0] = np.sqrt(1 - np.sum(sigma[1:] ** 2))
+        state = grid_with_singular_values(rng, dim_a, dim_b, sigma).reshape(-1)
+        if is_product_state(state, dim_a, dim_b).is_product:
+            assert minor_loop_is_product(state, dim_a, dim_b)
