@@ -106,12 +106,16 @@ def adjoint(m) -> np.ndarray:
     return as_matrix(m).conj().T
 
 
+def squared_moduli(a) -> np.ndarray:
+    """Entrywise |a|^2 as a float array of any shape; no input checks."""
+    if np.iscomplexobj(a):
+        return a.real**2 + a.imag**2
+    return np.asarray(a, dtype=float) ** 2
+
+
 def modulus_squared(m) -> np.ndarray:
     """Entrywise |m[i,j]|^2 as a real array."""
-    m = as_matrix(m)
-    if np.iscomplexobj(m):
-        return m.real**2 + m.imag**2
-    return np.asarray(m, dtype=float) ** 2
+    return squared_moduli(as_matrix(m))
 
 
 def norm(v) -> float:
@@ -129,7 +133,7 @@ def normalize(v) -> np.ndarray:
 
 
 def validate(m, regime: str, tol: float = DEFAULT_TOL) -> list[str]:
-    """Check a square matrix against a regime predicate.
+    """Check a square matrix against a regime predicate within a finite ``tol`` >= 0.
 
     Returns a list of human-readable violations; an empty list means the
     matrix passes.  Regimes:
@@ -144,6 +148,8 @@ def validate(m, regime: str, tol: float = DEFAULT_TOL) -> list[str]:
     m = as_matrix(m)
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}, expected one of {REGIMES}")
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be at least 0 and finite, got {tol}")
     if m.shape[0] != m.shape[1]:
         raise ValueError(
             f"{regime} validation requires a square matrix, got {m.shape[0]}x{m.shape[1]}"

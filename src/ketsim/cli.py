@@ -19,12 +19,12 @@ import sys
 
 import numpy as np
 
-from .algebra import validate
+from .algebra import squared_moduli, validate
 from .deutsch import BINARY_FUNCTIONS, run_deutsch
 from .dynamics import RegimeSystem, evolve
 from .experiments import SCENARIO_NAMES, run_scenario, scenario
 from .gates import ket_of_bits
-from .measurement import basis_distribution, collapse, random_source
+from .measurement import collapse, random_source
 
 REGIME_ALIASES = {
     "det": "deterministic",
@@ -197,22 +197,22 @@ def cmd_validate(args) -> int:
 
 
 def _probabilities_or_none(v: np.ndarray) -> np.ndarray | None:
-    w = np.asarray(v, dtype=np.complex128)
-    if float((w.real**2 + w.imag**2).sum()) == 0.0:
-        return None
-    return basis_distribution(v)
+    """Standard-basis outcome probabilities, or ``None`` for the zero state."""
+    w = squared_moduli(v)
+    total = float(w.sum())
+    return None if total == 0.0 else w / total
+
+
+def _evolved_state(args) -> np.ndarray:
+    """Front half of ``evolve`` and ``sample``: read the graph and state, then evolve."""
+    graph = parse_graph(_load_file(args.graph))
+    mode = "unchecked" if args.unchecked else "strict"
+    system = RegimeSystem(REGIME_ALIASES[args.regime], graph, mode=mode, tol=args.tol)
+    return evolve(system, _state_from_arg(args.state, system.dim), args.steps)
 
 
 def cmd_evolve(args) -> int:
-    m = parse_graph(_load_file(args.graph))
-    sys_ = RegimeSystem(
-        REGIME_ALIASES[args.regime],
-        m,
-        mode="unchecked" if args.unchecked else "strict",
-        tol=args.tol,
-    )
-    state = _state_from_arg(args.state, sys_.dim)
-    final = evolve(sys_, state, args.steps)
+    final = _evolved_state(args)
     probs = _probabilities_or_none(final)
     if args.format == "json":
         _emit_json(
@@ -307,22 +307,14 @@ def cmd_deutsch(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    m = parse_graph(_load_file(args.graph))
-    sys_ = RegimeSystem(
-        REGIME_ALIASES[args.regime],
-        m,
-        mode="unchecked" if args.unchecked else "strict",
-        tol=args.tol,
-    )
-    state = _state_from_arg(args.state, sys_.dim)
-    final = evolve(sys_, state, args.steps)
+    final = _evolved_state(args)
     rnd = random_source(args.seed)
-    counts = np.zeros(sys_.dim, dtype=np.int64)
+    counts = np.zeros(final.shape[0], dtype=np.int64)
     for _ in range(args.shots):
         idx, _post = collapse(final, rnd)
         counts[idx] += 1
     print(f"shots {args.shots}")
-    for i in range(sys_.dim):
+    for i in range(final.shape[0]):
         print(f"{i} {counts[i]} {fmt_real(counts[i] / args.shots)}")
     return 0
 
@@ -341,6 +333,17 @@ def _int_at_least(low: int):
     return integer
 
 
+def _tolerance(text: str) -> float:
+    """argparse type for ``--tol``: a non-number, nan, inf or a negative value is a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not (np.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be at least 0 and finite, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ketsim",
@@ -352,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate = sub.add_parser("validate", help="check a graph against a regime predicate")
     p_validate.add_argument("graph")
     p_validate.add_argument("--regime", required=True, choices=sorted(REGIME_ALIASES))
-    p_validate.add_argument("--tol", type=float, default=1e-9)
+    p_validate.add_argument("--tol", type=_tolerance, default=1e-9)
     p_validate.set_defaults(func=cmd_validate)
 
     p_evolve = sub.add_parser("evolve", help="advance a state through time clicks")
@@ -362,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_evolve.add_argument("--regime", default="quantum", choices=_EVOLVE_REGIMES)
     p_evolve.add_argument("--unchecked", action="store_true", help="skip regime validation")
     p_evolve.add_argument("--probabilities", action="store_true")
-    p_evolve.add_argument("--tol", type=float, default=1e-9)
+    p_evolve.add_argument("--tol", type=_tolerance, default=1e-9)
     p_evolve.add_argument("--format", default="text", choices=("text", "json"))
     p_evolve.set_defaults(func=cmd_evolve)
 
@@ -385,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--seed", type=_int_at_least(0), default=None)
     p_sample.add_argument("--regime", default="quantum", choices=_EVOLVE_REGIMES)
     p_sample.add_argument("--unchecked", action="store_true")
-    p_sample.add_argument("--tol", type=float, default=1e-9)
+    p_sample.add_argument("--tol", type=_tolerance, default=1e-9)
     p_sample.set_defaults(func=cmd_sample)
 
     return parser

@@ -15,6 +15,7 @@ import numpy as np
 
 from .algebra import as_state
 from .gates import Gate, apply, identity, ket_of_bits, parallel, standard_gate
+from .measurement import basis_distribution
 
 # Classification guard: the top-wire distribution is analytically a point
 # mass, so the threshold only has to absorb float noise.
@@ -93,14 +94,7 @@ def top_marginal(state) -> np.ndarray:
     v = as_state(state)
     if v.shape[0] != 4:
         raise ValueError(f"expected a two-wire state of dimension 4, got {v.shape[0]}")
-    if np.iscomplexobj(v):
-        w = v.real**2 + v.imag**2
-    else:
-        w = np.asarray(v, dtype=float) ** 2
-    total = float(w.sum())
-    if total == 0.0:
-        raise ValueError("cannot measure the zero vector")
-    return np.array([w[0] + w[1], w[2] + w[3]]) / total
+    return basis_distribution(v).reshape(2, 2).sum(axis=1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,10 +6,12 @@ A system is a square transition matrix tagged with one of three regimes:
 - ``stochastic``: doubly stochastic matrix moving probability mass;
 - ``quantum``: unitary matrix moving complex amplitudes.
 
-Strict systems verify the regime predicate at construction and sanity
-check states on every step.  Unchecked systems skip both, which lets the
-double-slit toy matrices (deliberately non-conforming: they drop the
-edges that would make them stochastic/unitary) run as-is.
+Strict systems verify the regime predicate at construction.  ``evolve``
+checks the state once on entry, sanity checks each strict click's input
+state, and refuses a result that is not finite.  Unchecked systems skip
+the regime checks, which lets the double-slit toy matrices (deliberately
+non-conforming: they drop the edges that would make them
+stochastic/unitary) run as-is.
 """
 from __future__ import annotations
 
@@ -24,7 +26,6 @@ from .algebra import (
     bool_mat_mul,
     kron,
     mat_mul,
-    mat_vec,
     norm,
     normalize,
     validate,
@@ -117,26 +118,27 @@ def _check_strict_state(sys: RegimeSystem, x: np.ndarray) -> np.ndarray:
 
 
 def step(sys: RegimeSystem, state) -> np.ndarray:
-    """One time click: multiply the system matrix into the state."""
-    x = as_state(state)
-    if x.shape[0] != sys.dim:
-        raise ValueError(
-            f"state has dimension {x.shape[0]}, system expects {sys.dim}"
-        )
-    if sys.mode == "strict":
-        x = _check_strict_state(sys, x)
-    return mat_vec(sys.matrix, x)
+    """One time click: ``evolve(sys, state, 1)``."""
+    return evolve(sys, state, 1)
 
 
 def evolve(sys: RegimeSystem, state, steps: int) -> np.ndarray:
-    """Apply ``steps`` successive time clicks.  ``steps=0`` is the identity."""
+    """Apply ``steps`` successive time clicks.  ``steps=0`` is the identity.
+
+    The state is checked once on entry; a strict system checks each
+    click's input state; a result that is not finite raises ValueError.
+    """
     if steps < 0 or steps != int(steps):
         raise ValueError(f"steps must be a non-negative integer, got {steps}")
     x = as_state(state)
     if x.shape[0] != sys.dim:
         raise ValueError(f"state has dimension {x.shape[0]}, system expects {sys.dim}")
     for _ in range(int(steps)):
-        x = step(sys, x)
+        if sys.mode == "strict":
+            x = _check_strict_state(sys, x)
+        x = sys.matrix @ x
+    if not np.all(np.isfinite(x)):
+        raise ValueError("state entries must all be finite")
     return x.copy() if x is state else x
 
 

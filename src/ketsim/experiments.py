@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import adjoint, bool_mat_mul, mat_mul, modulus_squared
+from .algebra import adjoint, bool_mat_mul, mat_mul, modulus_squared, squared_moduli
 from .dynamics import RegimeSystem, compose_parallel, evolve
 
 # --- six-vertex marble shuffle: one marble stream follows the unique
@@ -310,7 +310,7 @@ def run_scenario(s: Scenario, tol: float = 1e-9) -> ScenarioReport:
         trace = tuple(states)
         final = states[-1]
         if s.system.regime == "quantum":
-            probabilities = final.real**2 + final.imag**2
+            probabilities = squared_moduli(final)
         elif s.system.regime == "stochastic":
             probabilities = np.asarray(final, dtype=float)
     if s.expected_final is not None:

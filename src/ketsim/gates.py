@@ -71,26 +71,6 @@ def _truth_table_matrix(table: dict[int, int], in_bits: int, out_bits: int) -> n
     return m
 
 
-def _build_standard(name: str) -> Gate:
-    if name == "NOT":
-        return Gate("NOT", np.array([[0.0, 1.0], [1.0, 0.0]]), 1, 1, quantum=True)
-    if name == "AND":
-        return Gate("AND", _truth_table_matrix({0: 0, 1: 0, 2: 0, 3: 1}, 2, 1), 2, 1, quantum=False)
-    if name == "NAND":
-        return Gate("NAND", _truth_table_matrix({0: 1, 1: 1, 2: 1, 3: 0}, 2, 1), 2, 1, quantum=False)
-    if name == "OR":
-        return Gate("OR", _truth_table_matrix({0: 0, 1: 1, 2: 1, 3: 1}, 2, 1), 2, 1, quantum=False)
-    if name == "NOR":
-        return Gate("NOR", _truth_table_matrix({0: 1, 1: 0, 2: 0, 3: 0}, 2, 1), 2, 1, quantum=False)
-    if name == "H":
-        h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
-        return Gate("H", h, 1, 1, quantum=True)
-    if name == "CNOT":
-        # control on the top wire: |x,y> -> |x, x XOR y>
-        return Gate("CNOT", _truth_table_matrix({0: 0, 1: 1, 2: 3, 3: 2}, 2, 2), 2, 2, quantum=True)
-    raise ValueError(f"unknown gate name {name!r}")
-
-
 def _identity_name(wires: int) -> str:
     return f"I({wires})" if wires != 1 else "I"
 
@@ -102,14 +82,31 @@ def identity(wires: int) -> Gate:
     return Gate(_identity_name(wires), np.eye(2**wires), wires, wires, quantum=True)
 
 
+# Built and validated once: a Gate is frozen and its matrix read-only, so lookups share it.
+_STANDARD_GATES = {
+    g.name: g
+    for g in (
+        Gate("NOT", np.array([[0.0, 1.0], [1.0, 0.0]]), 1, 1, quantum=True),
+        Gate("AND", _truth_table_matrix({0: 0, 1: 0, 2: 0, 3: 1}, 2, 1), 2, 1, quantum=False),
+        Gate("NAND", _truth_table_matrix({0: 1, 1: 1, 2: 1, 3: 0}, 2, 1), 2, 1, quantum=False),
+        Gate("OR", _truth_table_matrix({0: 0, 1: 1, 2: 1, 3: 1}, 2, 1), 2, 1, quantum=False),
+        Gate("NOR", _truth_table_matrix({0: 1, 1: 0, 2: 0, 3: 0}, 2, 1), 2, 1, quantum=False),
+        Gate("H", np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2), 1, 1, quantum=True),
+        # control on the top wire: |x,y> -> |x, x XOR y>
+        Gate("CNOT", _truth_table_matrix({0: 0, 1: 1, 2: 3, 3: 2}, 2, 2), 2, 2, quantum=True),
+        identity(1),
+    )
+}
+
+
 def standard_gate(name: str) -> Gate:
-    """Look up a gate by name: NOT, AND, NAND, OR, NOR, H, CNOT, I, or I(n)."""
-    if name == "I":
-        return identity(1)
+    """Look up a gate by name: NOT, AND, NAND, OR, NOR, H, CNOT, I, or a fresh I(n)."""
+    if name in _STANDARD_GATES:
+        return _STANDARD_GATES[name]
     hit = re.fullmatch(r"I\((\d+)\)", name)
     if hit:
         return identity(int(hit.group(1)))
-    return _build_standard(name)
+    raise ValueError(f"unknown gate name {name!r}")
 
 
 def sequential(first: Gate, second: Gate) -> Gate:

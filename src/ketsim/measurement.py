@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, as_matrix, as_state, norm, normalize, validate
+from .algebra import DEFAULT_TOL, as_matrix, as_state, norm, normalize, squared_moduli, validate
 
 
 def random_source(seed: int | None = None) -> np.random.Generator:
@@ -26,16 +26,10 @@ def random_source(seed: int | None = None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _squared_moduli(x: np.ndarray) -> np.ndarray:
-    if np.iscomplexobj(x):
-        return x.real**2 + x.imag**2
-    return np.asarray(x, dtype=float) ** 2
-
-
 def basis_distribution(state) -> np.ndarray:
     """Outcome probabilities p_j = |c_j|^2 / S for a standard-basis measurement."""
     x = as_state(state)
-    w = _squared_moduli(x)
+    w = squared_moduli(x)
     total = float(w.sum())
     if total == 0.0:
         raise ValueError("cannot measure the zero vector")

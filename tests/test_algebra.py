@@ -15,6 +15,7 @@ from ketsim.algebra import (
     normalize,
     validate,
 )
+from ketsim.dynamics import RegimeSystem
 from ketsim.experiments import (
     BULLET_MATRIX,
     MARBLE_MATRIX,
@@ -314,6 +315,15 @@ def test_validate_accepts_stochastic_walk():
 def test_validate_rejects_unknown_regime():
     with pytest.raises(ValueError, match="regime"):
         validate(np.eye(2), "thermal")
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+def test_validate_rejects_a_tolerance_that_is_not_finite_and_non_negative(tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        validate(np.eye(2), "quantum", tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        RegimeSystem("quantum", np.ones((2, 2)), tol=tol)
+    assert validate(np.eye(2), "quantum", 0.0) == []
 
 
 def test_validate_rejects_non_square():

@@ -255,6 +255,17 @@ def test_evolve_zero_state_has_null_probabilities(tmp_path, capsys):
     assert json.loads(out)["probabilities"] is None
 
 
+def test_evolve_refuses_a_result_that_overflows(tmp_path, capsys):
+    graph = tmp_path / "grow.graph"
+    graph.write_text("dim 1\n0 0 1e200\n")
+    with np.errstate(over="ignore"):
+        code, out, err = run(
+            capsys, "evolve", str(graph), "--state", "0 1e200", "--regime", "stoch", "--unchecked"
+        )
+    assert (code, out) == (1, "")
+    assert err == "error: state entries must all be finite\n"
+
+
 def test_scenario_list(capsys):
     code, out, _ = run(capsys, "scenario", "--list")
     assert code == 0
@@ -355,6 +366,14 @@ def test_bad_choices_exit_two(tmp_path):
         ("sample", "--steps", "-1"),
         ("sample", "--seed", "-1"),
         ("evolve", "--steps", "-1"),
+        ("validate", "--tol", "nan"),
+        ("validate", "--tol", "inf"),
+        ("validate", "--tol", "-1"),
+        ("evolve", "--tol", "nan"),
+        ("evolve", "--tol", "-0.5"),
+        ("sample", "--tol", "inf"),
+        ("sample", "--tol", "-2"),
+        ("sample", "--tol", "tiny"),
     ],
 )
 def test_out_of_range_counts_are_usage_errors(tmp_path, capsys, command, flag, value):

@@ -2,9 +2,10 @@
 import numpy as np
 import pytest
 
-from ketsim.algebra import adjoint, norm, validate
+from ketsim.algebra import adjoint, as_state, mat_vec, norm, validate
 from ketsim.dynamics import (
     RegimeSystem,
+    _check_strict_state,
     compose_parallel,
     compose_sequential,
     evolve,
@@ -302,6 +303,96 @@ def test_state_tensor_order_matters():
 def test_state_tensor_with_scalar_one():
     v = np.array([0.2, 0.3, 0.5])
     assert np.array_equal(state_tensor(v, np.array([1.0])), v)
+
+
+def reference_evolve(sys_, state, steps):
+    """The click loop before the checks were hoisted: every click re-coerces
+    the state, runs the strict check and multiplies through ``mat_vec``."""
+    x = as_state(state)
+    if x.shape[0] != sys_.dim:
+        raise ValueError(f"state has dimension {x.shape[0]}, system expects {sys_.dim}")
+    for _ in range(steps):
+        x = as_state(x)
+        if sys_.mode == "strict":
+            x = _check_strict_state(sys_, x)
+        x = mat_vec(sys_.matrix, x)
+    return x.copy() if x is state else x
+
+
+def outcome(run, *args):
+    """Result bytes and dtype of a run, or the message it was refused with."""
+    try:
+        x = run(*args)
+    except ValueError as exc:
+        return ("refused", str(exc))
+    return ("ok", x.dtype, x.tobytes())
+
+
+def random_start(rng, regime, n):
+    if regime == "deterministic":
+        return rng.integers(-1, 9, size=n)  # a negative count trips the strict check
+    if regime == "stochastic":
+        return rng.dirichlet(np.ones(n))
+    return random_state(rng, n)  # not normalised: strict runs renormalise it
+
+
+RANDOM_MATRIX = {
+    "deterministic": random_function_graph,
+    "stochastic": random_doubly_stochastic,
+    "quantum": random_unitary,
+}
+
+
+@pytest.mark.parametrize("mode", ["strict", "unchecked"])
+@pytest.mark.parametrize("regime", sorted(RANDOM_MATRIX))
+def test_evolve_matches_the_per_click_reference_loop(regime, mode):
+    rng = np.random.default_rng(53)
+    refused = 0
+    for _ in range(20):
+        n = int(rng.integers(1, 7))
+        sys_ = RegimeSystem(regime, RANDOM_MATRIX[regime](rng, n), mode=mode)
+        x = random_start(rng, regime, n)
+        for steps in range(13):
+            want = outcome(reference_evolve, sys_, x, steps)
+            assert outcome(evolve, sys_, x, steps) == want
+            refused += want[0] == "refused"
+        assert outcome(step, sys_, x) == outcome(evolve, sys_, x, 1)
+    if regime == "deterministic" and mode == "strict":
+        assert refused > 0
+
+
+def test_evolve_matches_reference_when_strict_checks_fire_mid_run():
+    rng = np.random.default_rng(59)
+    # norm drifts by 4e-10 a click: renormalisation kicks in after a few clicks
+    for scale in (1 + 4e-10, 1 - 4e-10):
+        sys_ = RegimeSystem("quantum", random_unitary(rng, 4) * scale)
+        x = random_state(rng, 4)
+        x /= norm(x)
+        for steps in range(13):
+            assert outcome(evolve, sys_, x, steps) == outcome(reference_evolve, sys_, x, steps)
+    # column sums 1 + 6e-10: the input of click 3 sums to 1 + 1.2e-9 and is refused
+    drifting = RegimeSystem("stochastic", random_doubly_stochastic(rng, 4) * (1 + 6e-10))
+    p = rng.dirichlet(np.ones(4))
+    evolve(drifting, p, 2)
+    for steps in range(13):
+        assert outcome(evolve, drifting, p, steps) == outcome(reference_evolve, drifting, p, steps)
+    with pytest.raises(ValueError, match="sums to"):
+        evolve(drifting, p, 3)
+    # a negative count is refused at the first click of a strict run only;
+    # steps=0 runs no check and keeps the float dtype
+    counts = np.array([3.0, -1.0, 0.0, 2.0, 0.0, 0.0])
+    for mode in ("strict", "unchecked"):
+        sys_ = RegimeSystem("deterministic", MARBLE_MATRIX, mode=mode)
+        for steps in range(13):
+            assert outcome(evolve, sys_, counts, steps) == outcome(reference_evolve, sys_, counts, steps)
+
+
+def test_non_finite_result_is_refused():
+    sys_ = RegimeSystem("stochastic", [[1e200]], mode="unchecked")
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        evolve(sys_, [1e200], 1)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        step(sys_, [1e200])
 
 
 # --- conservation properties ---------------------------------------------------

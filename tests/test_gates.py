@@ -97,6 +97,23 @@ def test_unknown_gate_rejected():
         standard_gate("TOFFOLI")
 
 
+@pytest.mark.parametrize("name", ["NOT", "AND", "NAND", "OR", "NOR", "H", "CNOT", "I"])
+def test_fixed_library_gates_are_shared_and_read_only(name):
+    gate = standard_gate(name)
+    assert standard_gate(name) is gate
+    assert gate.name == name
+    with pytest.raises(ValueError, match="read-only"):
+        gate.matrix[0, 0] = 0.5
+    with pytest.raises(AttributeError):
+        gate.matrix = np.eye(2)
+
+
+def test_sized_identity_is_built_fresh():
+    gate = standard_gate("I(3)")
+    assert gate is not standard_gate("I(3)")
+    assert np.array_equal(gate.matrix, np.eye(8))
+
+
 def test_quantum_gates_are_unitary_classical_are_column_deterministic():
     for name in ("NOT", "H", "CNOT", "I", "I(2)"):
         gate = standard_gate(name)
