@@ -9,7 +9,6 @@ constant-versus-balanced decision circuit.
 """
 
 from .algebra import (
-    DEFAULT_TOL,
     adjoint,
     bool_mat_mul,
     kron,
@@ -17,18 +16,15 @@ from .algebra import (
     mat_vec,
     modulus_squared,
     norm,
-    normalize,
     validate,
 )
 from .deutsch import (
     BINARY_FUNCTIONS,
     BinaryFunction,
-    DeutschRun,
     first_attempt,
     oracle_matrix,
     run_deutsch,
     second_attempt,
-    top_marginal,
 )
 from .dynamics import (
     RegimeSystem,
@@ -40,8 +36,6 @@ from .dynamics import (
 )
 from .experiments import (
     SCENARIO_NAMES,
-    Scenario,
-    ScenarioReport,
     run_scenario,
     scenario,
 )
@@ -50,15 +44,12 @@ from .gates import (
     Gate,
     apply,
     circuit_matrix,
-    identity,
     ket_of_bits,
     parallel,
     sequential,
     standard_gate,
 )
 from .measurement import (
-    EigenDecomposition,
-    SeparabilityResult,
     basis_distribution,
     collapse,
     is_product_state,
@@ -69,18 +60,12 @@ from .measurement import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_TOL",
     "BINARY_FUNCTIONS",
     "SCENARIO_NAMES",
     "BinaryFunction",
     "Circuit",
-    "DeutschRun",
-    "EigenDecomposition",
     "Gate",
     "RegimeSystem",
-    "Scenario",
-    "ScenarioReport",
-    "SeparabilityResult",
     "adjoint",
     "apply",
     "basis_distribution",
@@ -91,7 +76,6 @@ __all__ = [
     "compose_sequential",
     "evolve",
     "first_attempt",
-    "identity",
     "is_product_state",
     "ket_of_bits",
     "kron",
@@ -99,7 +83,6 @@ __all__ = [
     "mat_vec",
     "modulus_squared",
     "norm",
-    "normalize",
     "oracle_matrix",
     "parallel",
     "random_source",
@@ -112,6 +95,5 @@ __all__ = [
     "standard_gate",
     "state_tensor",
     "step",
-    "top_marginal",
     "validate",
 ]

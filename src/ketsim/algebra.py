@@ -203,7 +203,7 @@ def _max_abs_entry(d: np.ndarray) -> tuple[float, int, int]:
 
 
 def _validate_quantum(m: np.ndarray, tol: float) -> list[str]:
-    d = adjoint(m) @ m - np.eye(m.shape[0])
+    d = m.conj().T @ m - np.eye(m.shape[0])
     dev, i, j = _max_abs_entry(d)
     if dev > tol:
         return [f"not unitary: adjoint product deviates from identity by {dev:.6g} at entry [{i},{j}]"]
@@ -211,7 +211,7 @@ def _validate_quantum(m: np.ndarray, tol: float) -> list[str]:
 
 
 def _validate_hermitian(m: np.ndarray, tol: float) -> list[str]:
-    d = m - adjoint(m)
+    d = m - m.conj().T
     dev, i, j = _max_abs_entry(d)
     if dev > tol:
         return [f"not hermitian: differs from own adjoint by {dev:.6g} at entry [{i},{j}]"]

@@ -39,6 +39,9 @@ REGIME_ALIASES = {
 _EVOLVE_REGIMES = tuple(k for k in sorted(REGIME_ALIASES) if k != "hermitian")
 
 
+MAX_DIM = 4096  # a dense complex matrix costs 16 * dim**2 bytes: 256 MiB at this limit
+
+
 class ParseFailure(Exception):
     """Malformed input file; the message names the offending line."""
 
@@ -68,6 +71,8 @@ def parse_graph(text: str) -> np.ndarray:
         raise ParseFailure(f"line {lineno}: dimension {fields[1]!r} is not an integer")
     if dim < 1:
         raise ParseFailure(f"line {lineno}: dimension must be positive, got {dim}")
+    if dim > MAX_DIM:
+        raise ParseFailure(f"line {lineno}: dimension {dim} exceeds the limit of {MAX_DIM}")
     m = np.zeros((dim, dim), dtype=np.complex128)
     seen: set[tuple[int, int]] = set()
     for lineno, line in lines[1:]:

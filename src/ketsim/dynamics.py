@@ -19,17 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import (
-    DEFAULT_TOL,
-    as_matrix,
-    as_state,
-    bool_mat_mul,
-    kron,
-    mat_mul,
-    norm,
-    normalize,
-    validate,
-)
+from .algebra import DEFAULT_TOL, as_matrix, as_state, bool_mat_mul, validate
 
 MODES = ("strict", "unchecked")
 
@@ -109,11 +99,11 @@ def _check_strict_state(sys: RegimeSystem, x: np.ndarray) -> np.ndarray:
             raise ValueError(f"stochastic state sums to {total}, expected 1")
         return x
     x = x.astype(np.complex128)
-    n = norm(x)
+    n = np.linalg.norm(x)
     if n == 0.0:
         raise ValueError("quantum state must be nonzero")
     if abs(n - 1) > sys.tol:
-        x = normalize(x)
+        x = x / n
     return x
 
 
@@ -125,18 +115,26 @@ def step(sys: RegimeSystem, state) -> np.ndarray:
 def evolve(sys: RegimeSystem, state, steps: int) -> np.ndarray:
     """Apply ``steps`` successive time clicks.  ``steps=0`` is the identity.
 
-    The state is checked once on entry; a strict system checks each
-    click's input state; a result that is not finite raises ValueError.
+    The state is checked once on entry, and so is the exact total count
+    of a strict deterministic run (int64 must hold it); a strict system
+    checks each click's input state; a result that is not finite raises
+    ValueError, not a numpy warning.
     """
-    if steps < 0 or steps != int(steps):
+    if isinstance(steps, (bool, np.bool_)) or steps < 0 or steps != int(steps):
         raise ValueError(f"steps must be a non-negative integer, got {steps}")
     x = as_state(state)
     if x.shape[0] != sys.dim:
         raise ValueError(f"state has dimension {x.shape[0]}, system expects {sys.dim}")
-    for _ in range(int(steps)):
-        if sys.mode == "strict":
-            x = _check_strict_state(sys, x)
-        x = sys.matrix @ x
+    if steps and sys.mode == "strict" and sys.regime == "deterministic" and not np.iscomplexobj(x):
+        # a strict click conserves the total and bounds each count by it, so int64 holds every click
+        total = sum(map(int, x.tolist()))
+        if total >= 2**63:
+            raise ValueError(f"deterministic counts total {total}, more than int64 holds")
+    with np.errstate(over="ignore", invalid="ignore"):  # the finite check below reports it
+        for _ in range(int(steps)):
+            if sys.mode == "strict":
+                x = _check_strict_state(sys, x)
+            x = sys.matrix @ x
     if not np.all(np.isfinite(x)):
         raise ValueError("state entries must all be finite")
     return x.copy() if x is state else x
@@ -159,7 +157,7 @@ def compose_sequential(first: RegimeSystem, second: RegimeSystem) -> RegimeSyste
     if first.regime == "deterministic":
         m = bool_mat_mul(second.matrix, first.matrix)
     else:
-        m = mat_mul(second.matrix, first.matrix)
+        m = second.matrix @ first.matrix
     mode = "strict" if (first.mode == "strict" and second.mode == "strict") else "unchecked"
     return RegimeSystem(first.regime, m, mode=mode, tol=min(first.tol, second.tol))
 
@@ -173,7 +171,7 @@ def compose_parallel(a: RegimeSystem, b: RegimeSystem) -> RegimeSystem:
     if a.regime != b.regime:
         raise ValueError(f"cannot combine {a.regime} system with {b.regime} system")
     mode = "strict" if (a.mode == "strict" and b.mode == "strict") else "unchecked"
-    return RegimeSystem(a.regime, kron(a.matrix, b.matrix), mode=mode, tol=min(a.tol, b.tol))
+    return RegimeSystem(a.regime, np.kron(a.matrix, b.matrix), mode=mode, tol=min(a.tol, b.tol))
 
 
 def state_tensor(a, b) -> np.ndarray:

@@ -16,14 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import kron, mat_mul, mat_vec, validate
+from .algebra import as_matrix, as_state, validate
 
 _GATE_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
 class Gate:
-    """A named matrix acting on a fixed number of input/output wires."""
+    """A named matrix on fixed input/output wires, checked once when built; read-only after."""
 
     name: str
     matrix: np.ndarray
@@ -32,9 +32,10 @@ class Gate:
     quantum: bool
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=np.float64 if not np.iscomplexobj(self.matrix) else np.complex128)
         if self.in_bits < 0 or self.out_bits < 0:
             raise ValueError("wire counts cannot be negative")
+        dtype = np.complex128 if np.iscomplexobj(self.matrix) else np.float64
+        m = as_matrix(np.array(self.matrix, dtype=dtype))
         want = (2**self.out_bits, 2**self.in_bits)
         if m.shape != want:
             raise ValueError(
@@ -118,7 +119,7 @@ def sequential(first: Gate, second: Gate) -> Gate:
         )
     return Gate(
         f"{first.name}>{second.name}",
-        mat_mul(second.matrix, first.matrix),
+        second.matrix @ first.matrix,
         first.in_bits,
         second.out_bits,
         quantum=first.quantum and second.quantum,
@@ -129,7 +130,7 @@ def parallel(top: Gate, bottom: Gate) -> Gate:
     """Gate acting as ``top`` on the upper wires and ``bottom`` on the lower."""
     return Gate(
         f"{top.name}|{bottom.name}",
-        kron(top.matrix, bottom.matrix),
+        np.kron(top.matrix, bottom.matrix),
         top.in_bits + bottom.in_bits,
         top.out_bits + bottom.out_bits,
         quantum=top.quantum and bottom.quantum,
@@ -144,7 +145,7 @@ def apply(g: Gate, state) -> np.ndarray:
         raise ValueError(
             f"gate {g.name!r} expects a state of dimension {2**g.in_bits}, got {got}"
         )
-    return mat_vec(g.matrix, x)
+    return g.matrix @ as_state(x)
 
 
 def _column_deterministic(m: np.ndarray) -> bool:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, as_matrix, as_state, norm, normalize, squared_moduli, validate
+from .algebra import DEFAULT_TOL, as_state, squared_moduli, validate
 
 
 def random_source(seed: int | None = None) -> np.random.Generator:
@@ -44,14 +44,13 @@ def collapse(state, rnd: np.random.Generator) -> tuple[int, np.ndarray]:
     A draw equal to an interval boundary goes to the higher index.  The
     post-measurement state is exactly the basis ket at the outcome.
     """
-    x = as_state(state)
-    p = basis_distribution(x)
+    p = basis_distribution(state)
     cum = np.cumsum(p)
     u = rnd.random()
     idx = int(np.searchsorted(cum, u, side="right"))
-    if idx >= x.shape[0]:  # u beyond cum[-1] by accumulated rounding dust
-        idx = x.shape[0] - 1
-    post = np.zeros(x.shape[0])
+    if idx >= p.shape[0]:  # u beyond cum[-1] by accumulated rounding dust
+        idx = p.shape[0] - 1
+    post = np.zeros(p.shape[0])
     post[idx] = 1.0
     return idx, post
 
@@ -72,11 +71,10 @@ def spectral_decompose(observable, tol: float = DEFAULT_TOL) -> EigenDecompositi
     and the eigenvector columns are orthonormal, with
     A @ v_j = lambda_j * v_j for each column.
     """
-    m = as_matrix(observable)
-    violations = validate(m, "hermitian", tol)
+    violations = validate(observable, "hermitian", tol)
     if violations:
         raise ValueError("observable must be hermitian: " + "; ".join(violations))
-    a = np.asarray(m, dtype=np.complex128)
+    a = np.asarray(observable, dtype=np.complex128)
     a = (a + a.conj().T) / 2  # kill asymmetry dust within tol
     return EigenDecomposition(*np.linalg.eigh(a))
 
@@ -107,9 +105,10 @@ def is_product_state(state, dim_a: int, dim_b: int, tol: float = DEFAULT_TOL) ->
         raise ValueError(
             f"state of dimension {v.shape[0]} does not split as {dim_a} x {dim_b}"
         )
-    if norm(v) == 0.0:
+    n = float(np.linalg.norm(v))
+    if n == 0.0:
         raise ValueError("cannot test the zero vector")
-    grid = normalize(v).reshape(dim_a, dim_b)
+    grid = (v / n).reshape(dim_a, dim_b)
     sigma = np.linalg.svd(grid, compute_uv=False)
     if sigma.shape[0] > 1 and sigma[0] * sigma[1] > tol:
         return SeparabilityResult(False)

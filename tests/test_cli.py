@@ -1,5 +1,8 @@
 """Command-line interface: file parsing, output formats, exit codes."""
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +81,16 @@ def test_parse_graph_rejects_bad_dimension():
         parse_graph("dim two\n")
     with pytest.raises(ParseFailure, match="must be positive"):
         parse_graph("dim 0\n")
+
+
+def test_parse_graph_rejects_a_dimension_above_the_limit(tmp_path, capsys):
+    with pytest.raises(ParseFailure, match="line 2: dimension 4097 exceeds the limit of 4096"):
+        parse_graph("# huge\ndim 4097\n")
+    graph = tmp_path / "huge.graph"
+    graph.write_text("dim 100000000\n")
+    code, out, err = run(capsys, "validate", str(graph), "--regime", "stoch")
+    assert (code, out) == (2, "")
+    assert err == "error: line 1: dimension 100000000 exceeds the limit of 4096\n"
 
 
 def test_parse_graph_rejects_duplicate_edge():
@@ -264,6 +277,28 @@ def test_evolve_refuses_a_result_that_overflows(tmp_path, capsys):
         )
     assert (code, out) == (1, "")
     assert err == "error: state entries must all be finite\n"
+
+
+def test_evolve_overflow_prints_only_the_error_line(tmp_path):
+    graph = tmp_path / "grow.graph"
+    graph.write_text("dim 1\n0 0 1e200\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run(
+        [sys.executable, "-m", "ketsim.cli", "evolve", str(graph),
+         "--state", "0 1e200", "--regime", "stoch", "--unchecked"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == "error: state entries must all be finite\n"
+
+
+def test_evolve_refuses_a_count_total_beyond_int64(tmp_path, capsys):
+    graph = tmp_path / "swap.graph"
+    graph.write_text("dim 2\n0 1 1\n1 0 1\n")
+    code, out, err = run(capsys, "evolve", str(graph), "--state", "0 1e19\n1 3", "--regime", "det")
+    assert (code, out) == (1, "")
+    assert err == "error: deterministic counts total 10000000000000000003, more than int64 holds\n"
 
 
 def test_scenario_list(capsys):

@@ -12,7 +12,7 @@ from ketsim.deutsch import (
     second_attempt,
     top_marginal,
 )
-from ketsim.gates import apply, ket_of_bits, standard_gate
+from ketsim.gates import Gate, apply, ket_of_bits, standard_gate
 
 MINUS = np.array([1.0, -1.0]) / np.sqrt(2)  # bottom-wire state (|0> - |1|)/sqrt(2)
 
@@ -149,6 +149,26 @@ def test_oracle_applied_exactly_once():
         run_deutsch(f, apply_oracle=counting_apply)
         assert len(calls) == 1
         assert calls[0].startswith("oracle")
+
+
+@pytest.mark.parametrize(
+    "run",
+    [run_deutsch, first_attempt, lambda f: second_attempt(f, 1)],
+    ids=["run_deutsch", "first_attempt", "second_attempt"],
+)
+def test_each_query_builds_only_the_oracle_gate(monkeypatch, run):
+    built = []
+    check = Gate.__post_init__
+
+    def counting_post_init(gate):
+        built.append(gate.name)
+        check(gate)
+
+    monkeypatch.setattr(Gate, "__post_init__", counting_post_init)
+    for f in ALL_FUNCTIONS:
+        built.clear()
+        run(f)
+        assert built == [f"oracle({f.f0},{f.f1})"]
 
 
 def test_queried_stage_matches_brute_force_product():

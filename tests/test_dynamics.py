@@ -178,6 +178,27 @@ def test_evolve_rejects_negative_steps():
         evolve(sys_, np.array([1.0, 0.0]), -1)
 
 
+def test_evolve_rejects_boolean_steps():
+    sys_ = RegimeSystem("quantum", np.eye(2))
+    for steps in (True, np.True_):
+        with pytest.raises(ValueError, match="steps must be a non-negative integer, got True"):
+            evolve(sys_, np.array([1.0, 0.0]), steps)
+
+
+MERGE = [[1, 1], [0, 0]]  # both vertices send their counts to vertex 0
+
+
+def test_strict_deterministic_total_must_fit_in_int64():
+    sys_ = RegimeSystem("deterministic", MERGE)
+    with pytest.raises(ValueError, match="counts total 9223372036854775808, more than int64"):
+        evolve(sys_, np.array([2**62, 2**62]), 1)
+    with pytest.raises(ValueError, match="counts total 10000000000000000003"):
+        evolve(RegimeSystem("deterministic", [[0, 1], [1, 0]]), np.array([1e19, 3.0]), 1)
+    top = evolve(sys_, np.array([2**62, 2**62 - 1]), 5)  # a total of 2**63 - 1 still runs
+    assert top.dtype == np.int64 and top.tolist() == [2**63 - 1, 0]
+    assert evolve(sys_, np.array([2**62, 2**62]), 0).tolist() == [2**62, 2**62]
+
+
 def test_round_trip_through_adjoint_system():
     rng = np.random.default_rng(9)
     forward = RegimeSystem("quantum", UNITARY_MATRIX)

@@ -147,6 +147,21 @@ def test_gate_shape_must_match_wire_counts():
         Gate("BAD", np.eye(3), 2, 1, quantum=False)
 
 
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ([[np.nan, 0.0], [0.0, 1.0]], "matrix entries must all be finite"),
+        ([[1.0, 0.0], [0.0, np.inf]], "matrix entries must all be finite"),
+        ([1.0, 0.0], "expected a 2-D matrix, got an array of ndim 1"),
+        (1.0, "expected a 2-D matrix, got an array of ndim 0"),
+    ],
+    ids=["nan", "inf", "1-D", "0-D"],
+)
+def test_gate_refuses_a_matrix_that_is_not_finite_and_2d(matrix, message):
+    with pytest.raises(ValueError, match=message):
+        Gate("BAD", matrix, 1, 1, quantum=False)
+
+
 def test_quantum_flag_requires_unitary():
     with pytest.raises(ValueError, match="quantum"):
         Gate("BAD", np.array([[1.0, 1.0], [0.0, 1.0]]), 1, 1, quantum=True)
@@ -223,6 +238,21 @@ def test_apply_factors_over_parallel():
 def test_apply_dimension_check():
     with pytest.raises(ValueError, match="dimension 2"):
         apply(H, np.ones(4))
+
+
+@pytest.mark.parametrize(
+    "state, message",
+    [
+        (np.ones(4), "gate 'H' expects a state of dimension 2, got 4"),
+        (np.ones((2, 2)), "gate 'H' expects a state of dimension 2, got ndim-2 array"),
+        ([np.nan, 1.0], "state entries must all be finite"),
+        ([1.0, np.inf], "state entries must all be finite"),
+    ],
+    ids=["wrong-dimension", "2-D", "nan", "inf"],
+)
+def test_apply_refuses_a_bad_state(state, message):
+    with pytest.raises(ValueError, match=message):
+        apply(H, state)
 
 
 def test_not_flips_bits():

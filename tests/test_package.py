@@ -1,0 +1,43 @@
+"""The package surface: top-level exports and the demo transcripts."""
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import ketsim
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+EXPORTS = {
+    "BINARY_FUNCTIONS", "SCENARIO_NAMES", "BinaryFunction", "Circuit", "Gate",
+    "RegimeSystem", "adjoint", "apply", "basis_distribution", "bool_mat_mul",
+    "circuit_matrix", "collapse", "compose_parallel", "compose_sequential", "evolve",
+    "first_attempt", "is_product_state", "ket_of_bits", "kron", "mat_mul", "mat_vec",
+    "modulus_squared", "norm", "oracle_matrix", "parallel", "random_source",
+    "run_deutsch", "run_scenario", "scenario", "second_attempt", "sequential",
+    "spectral_decompose", "standard_gate", "state_tensor", "step", "validate",
+}
+
+
+def test_exports_are_exactly_the_documented_names():
+    assert len(ketsim.__all__) == len(EXPORTS) == 36
+    assert set(ketsim.__all__) == EXPORTS
+    documented = set(re.findall(r"`([A-Za-z_]+)`", (ROOT / "README.md").read_text()))
+    for name in ketsim.__all__:
+        assert getattr(ketsim, name) is not None
+        assert name in documented, f"{name} is exported but not named in README.md"
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_prints_its_transcript(demo):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src") + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run(
+        [sys.executable, str(demo)], capture_output=True, text=True, env=env, check=False
+    )
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert done.stdout == (ROOT / "tests" / "golden" / "demos" / f"{demo.stem}.txt").read_text()
