@@ -17,27 +17,33 @@ DEFAULT_TOL = 1e-9
 REGIMES = ("deterministic", "stochastic", "quantum", "hermitian")
 
 
+def _require_finite_numbers(a: np.ndarray, what: str) -> None:
+    # bool, integer, float or complex; numpy stores a Python int beyond 64 bits as an object
+    if a.dtype.kind not in "biufc":
+        raise ValueError(f"{what} entries must be numbers, got dtype {a.dtype}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} entries must all be finite")
+
+
 def as_matrix(m) -> np.ndarray:
-    """Coerce to a non-empty, finite 2-D array."""
+    """Coerce to a non-empty, finite 2-D array of numbers."""
     a = np.asarray(m)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got an array of ndim {a.ndim}")
     if a.shape[0] == 0 or a.shape[1] == 0:
         raise ValueError(f"matrix must have positive dimensions, got {a.shape[0]}x{a.shape[1]}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must all be finite")
+    _require_finite_numbers(a, "matrix")
     return a
 
 
 def as_state(v) -> np.ndarray:
-    """Coerce to a non-empty, finite 1-D array."""
+    """Coerce to a non-empty, finite 1-D array of numbers."""
     a = np.asarray(v)
     if a.ndim != 1:
         raise ValueError(f"expected a 1-D state vector, got an array of ndim {a.ndim}")
     if a.shape[0] == 0:
         raise ValueError("state vector must have positive dimension")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("state entries must all be finite")
+    _require_finite_numbers(a, "state")
     return a
 
 
@@ -118,9 +124,35 @@ def modulus_squared(m) -> np.ndarray:
     return squared_moduli(as_matrix(m))
 
 
+def largest_part(x) -> float:
+    """Largest |re| or |im| over the entries; finite for finite ``x``, unlike max |x_j|."""
+    return float(max(np.max(np.abs(x.real)), np.max(np.abs(x.imag))))
+
+
+def euclidean_norm(x) -> float:
+    """sqrt(sum |x_j|^2) of a 1-D array at any scale; no input checks.
+
+    ``np.linalg.norm`` stands when it is finite and nonzero.  A nonzero
+    ``x`` whose norm underflowed to 0 or overflowed to inf is divided by
+    its ``largest_part`` and measured again.  A norm beyond the float
+    range raises ValueError.
+    """
+    n = float(np.linalg.norm(x))
+    if 0.0 < n < np.inf or not np.any(x):
+        return n
+    scale = largest_part(x)
+    with np.errstate(under="ignore"):
+        n = float(np.linalg.norm(x / scale)) * scale
+    if n == np.inf:
+        raise ValueError("norm exceeds the float range")
+    return n
+
+
 def norm(v) -> float:
-    """Euclidean length sqrt(sum |c_j|^2)."""
-    return float(np.linalg.norm(as_state(v)))
+    """Euclidean length sqrt(sum |c_j|^2), at any scale the float range holds."""
+    v = as_state(v)
+    with np.errstate(over="ignore"):  # euclidean_norm rescales an overflowed norm
+        return euclidean_norm(v)
 
 
 def normalize(v) -> np.ndarray:

@@ -14,26 +14,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 import numpy as np
 
-from .algebra import squared_moduli, validate
+from .algebra import REGIMES, validate
 from .deutsch import BINARY_FUNCTIONS, run_deutsch
 from .dynamics import RegimeSystem, evolve
 from .experiments import SCENARIO_NAMES, run_scenario, scenario
 from .gates import ket_of_bits
-from .measurement import collapse, random_source
+from .measurement import basis_distribution, collapse, random_source
 
-REGIME_ALIASES = {
-    "det": "deterministic",
-    "deterministic": "deterministic",
-    "stoch": "stochastic",
-    "stochastic": "stochastic",
-    "quantum": "quantum",
-    "hermitian": "hermitian",
-}
+REGIME_ALIASES = {"det": "deterministic", "stoch": "stochastic", **{r: r for r in REGIMES}}
 
 # hermitian matrices are observables, not dynamics; evolve/sample exclude them
 _EVOLVE_REGIMES = tuple(k for k in sorted(REGIME_ALIASES) if k != "hermitian")
@@ -54,6 +48,22 @@ def _content_lines(text: str):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line
+
+
+def _complex_value(fields: list[str], noun: str, lineno: int, line: str) -> complex:
+    """Read the trailing `<re> [<im>]` fields: two finite floats, the second defaulting to 0."""
+    try:
+        re_part = float(fields[0])
+        im_part = float(fields[1]) if len(fields) == 2 else 0.0
+    except ValueError:
+        raise ParseFailure(f"line {lineno}: bad {noun} in {line!r}")
+    if not (math.isfinite(re_part) and math.isfinite(im_part)):
+        raise ParseFailure(f"line {lineno}: {noun} must be finite in {line!r}")
+    return complex(re_part, im_part)
+
+
+def _real_if_possible(a: np.ndarray) -> np.ndarray:
+    return a.real if np.all(a.imag == 0) else a
 
 
 def parse_graph(text: str) -> np.ndarray:
@@ -90,17 +100,8 @@ def parse_graph(text: str) -> np.ndarray:
         if (src, dst) in seen:
             raise ParseFailure(f"line {lineno}: duplicate edge {src} -> {dst}")
         seen.add((src, dst))
-        try:
-            re_part = float(fields[2])
-            im_part = float(fields[3]) if len(fields) == 4 else 0.0
-        except ValueError:
-            raise ParseFailure(f"line {lineno}: bad weight in {line!r}")
-        if not (np.isfinite(re_part) and np.isfinite(im_part)):
-            raise ParseFailure(f"line {lineno}: weight must be finite in {line!r}")
-        m[dst, src] = complex(re_part, im_part)
-    if np.all(m.imag == 0):
-        return m.real
-    return m
+        m[dst, src] = _complex_value(fields[2:], "weight", lineno, line)
+    return _real_if_possible(m)
 
 
 def parse_state(text: str, dim: int) -> np.ndarray:
@@ -130,17 +131,8 @@ def parse_state(text: str, dim: int) -> np.ndarray:
         if idx in filled:
             raise ParseFailure(f"line {lineno}: index {idx} listed twice")
         filled.add(idx)
-        try:
-            re_part = float(fields[1])
-            im_part = float(fields[2]) if len(fields) == 3 else 0.0
-        except ValueError:
-            raise ParseFailure(f"line {lineno}: bad amplitude in {line!r}")
-        if not (np.isfinite(re_part) and np.isfinite(im_part)):
-            raise ParseFailure(f"line {lineno}: amplitude must be finite in {line!r}")
-        v[idx] = complex(re_part, im_part)
-    if np.all(v.imag == 0):
-        return v.real
-    return v
+        v[idx] = _complex_value(fields[1:], "amplitude", lineno, line)
+    return _real_if_possible(v)
 
 
 # ------------------------------------------------------------- formatting
@@ -166,7 +158,13 @@ def _state_lines(v: np.ndarray) -> list[str]:
 
 def _amplitude_pairs(v: np.ndarray) -> list[list[float]]:
     w = np.asarray(v, dtype=np.complex128)
-    return [[float(c.real), float(c.imag)] for c in w]
+    return np.column_stack([w.real, w.imag]).tolist()
+
+
+def _print_probabilities(p: np.ndarray) -> None:
+    print("probabilities:")
+    for i, x in enumerate(p):
+        print(f"{i} {fmt_real(x)}")
 
 
 def _emit_json(obj) -> None:
@@ -201,13 +199,6 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _probabilities_or_none(v: np.ndarray) -> np.ndarray | None:
-    """Standard-basis outcome probabilities, or ``None`` for the zero state."""
-    w = squared_moduli(v)
-    total = float(w.sum())
-    return None if total == 0.0 else w / total
-
-
 def _evolved_state(args) -> np.ndarray:
     """Front half of ``evolve`` and ``sample``: read the graph and state, then evolve."""
     graph = parse_graph(_load_file(args.graph))
@@ -218,13 +209,13 @@ def _evolved_state(args) -> np.ndarray:
 
 def cmd_evolve(args) -> int:
     final = _evolved_state(args)
-    probs = _probabilities_or_none(final)
+    probs = basis_distribution(final) if np.any(final) else None  # None: the zero state
     if args.format == "json":
         _emit_json(
             {
                 "dim": int(final.shape[0]),
                 "amplitudes": _amplitude_pairs(final),
-                "probabilities": None if probs is None else [float(p) for p in probs],
+                "probabilities": None if probs is None else probs.tolist(),
             }
         )
         return 0
@@ -235,9 +226,7 @@ def cmd_evolve(args) -> int:
         if probs is None:
             print("error: zero state has no probabilities", file=sys.stderr)
             return 1
-        print("probabilities:")
-        for i, p in enumerate(probs):
-            print(f"{i} {fmt_real(p)}")
+        _print_probabilities(probs)
     return 0
 
 
@@ -248,9 +237,7 @@ def _scenario_json(report) -> dict:
         "dim": s.system.dim,
         "steps": s.steps,
         "final": None if report.final is None else _amplitude_pairs(report.final),
-        "probabilities": None
-        if report.probabilities is None
-        else [float(p) for p in report.probabilities],
+        "probabilities": None if report.probabilities is None else report.probabilities.tolist(),
         "checks": [
             {"label": c.label, "passed": c.passed, "deviation": c.deviation}
             for c in report.checks
@@ -281,9 +268,7 @@ def cmd_scenario(args) -> int:
         for line in _state_lines(report.final):
             print(line)
     if report.probabilities is not None:
-        print("probabilities:")
-        for i, p in enumerate(report.probabilities):
-            print(f"{i} {fmt_real(p)}")
+        _print_probabilities(report.probabilities)
     for c in report.checks:
         status = "PASS" if c.passed else "FAIL"
         print(f"check {c.label}: {status} (max deviation {fmt_real(c.deviation)})")
@@ -298,7 +283,7 @@ def cmd_deutsch(args) -> int:
             {
                 "oracle": args.oracle,
                 "stages": [_amplitude_pairs(snap) for snap in run.snapshots],
-                "top_distribution": [float(p) for p in run.top_distribution],
+                "top_distribution": run.top_distribution.tolist(),
                 "classification": run.classification,
             }
         )
@@ -402,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(over="ignore"):  # what overflows is rescaled or refused; no numpy warning
+            return args.func(args)
     except ParseFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, as_matrix, as_state, bool_mat_mul, validate
+from .algebra import DEFAULT_TOL, as_matrix, as_state, bool_mat_mul, euclidean_norm, validate
 
 MODES = ("strict", "unchecked")
 
@@ -99,7 +99,7 @@ def _check_strict_state(sys: RegimeSystem, x: np.ndarray) -> np.ndarray:
             raise ValueError(f"stochastic state sums to {total}, expected 1")
         return x
     x = x.astype(np.complex128)
-    n = np.linalg.norm(x)
+    n = euclidean_norm(x)  # its overflow warning is silenced by evolve's errstate
     if n == 0.0:
         raise ValueError("quantum state must be nonzero")
     if abs(n - 1) > sys.tol:

@@ -4,6 +4,7 @@ Each scenario packages a transition matrix, an optional start state and
 step count, and the values the run must reproduce.  The golden numbers
 are stored as exact fractions and surds evaluated at load time, never as
 pre-rounded decimals, so the comparison tolerance stays meaningful.
+Each scenario is built once, at import, and shared read-only.
 
 Scenarios run with validation off: the two double-slit walls are
 deliberately missing the return edges that would make their matrices
@@ -147,19 +148,9 @@ UNITARY_MOD_SQUARED = np.array(
     ]
 )
 
-SCENARIO_NAMES = (
-    "marbles-6",
-    "stochastic-3",
-    "bullets",
-    "photons",
-    "two-marbles",
-    "unitary-3",
-)
-
-
 @dataclass(frozen=True, eq=False)
 class GoldenCheck:
-    """A computed matrix pinned against its expected value."""
+    """A computed array pinned against its expected value."""
 
     label: str
     actual: np.ndarray
@@ -200,11 +191,26 @@ class ScenarioReport:
         return all(c.passed for c in self.checks)
 
 
-def scenario(name: str) -> Scenario:
-    """Build one of the canned scenarios by name."""
-    if name == "marbles-6":
-        return Scenario(
-            name=name,
+def _read_only(s: Scenario) -> Scenario:
+    """Freeze every array a shared scenario holds; its system's matrix already is."""
+    checked = (a for c in s.checks for a in (c.actual, c.expected))
+    for a in (s.initial, s.expected_final, s.expected_probabilities, *checked):
+        if a is not None:
+            a.setflags(write=False)
+    return s
+
+
+_TWO_WALKERS = compose_parallel(
+    RegimeSystem("stochastic", STOCHASTIC_MATRIX, mode="unchecked"),
+    RegimeSystem("stochastic", PAIR_MATRIX, mode="unchecked"),
+)
+
+# Built once at import, the checks' computed values included; lookups share them.
+_SCENARIOS = {
+    s.name: _read_only(s)
+    for s in (
+        Scenario(
+            name="marbles-6",
             note="six-vertex marble shuffle, one click of integer counts",
             system=RegimeSystem("deterministic", MARBLE_MATRIX, mode="unchecked"),
             initial=MARBLE_START,
@@ -219,28 +225,25 @@ def scenario(name: str) -> Scenario:
                     exact=True,
                 ),
             ),
-        )
-    if name == "stochastic-3":
-        return Scenario(
-            name=name,
+        ),
+        Scenario(
+            name="stochastic-3",
             note="three-vertex doubly stochastic walk, one click",
             system=RegimeSystem("stochastic", STOCHASTIC_MATRIX, mode="unchecked"),
             initial=STOCHASTIC_START,
             steps=1,
             expected_final=STOCHASTIC_AFTER_ONE_CLICK,
-        )
-    if name == "bullets":
-        return Scenario(
-            name=name,
+        ),
+        Scenario(
+            name="bullets",
             note="double slit with probabilities: the middle target collects both routes",
             system=RegimeSystem("stochastic", BULLET_MATRIX, mode="unchecked"),
             initial=BULLET_START,
             steps=2,
             expected_final=BULLET_AFTER_TWO_CLICKS,
-        )
-    if name == "photons":
-        return Scenario(
-            name=name,
+        ),
+        Scenario(
+            name="photons",
             note="double slit with amplitudes: the middle target cancels to zero",
             system=RegimeSystem("quantum", PHOTON_MATRIX, mode="unchecked"),
             initial=PHOTON_START,
@@ -253,26 +256,19 @@ def scenario(name: str) -> Scenario:
                     BULLET_MATRIX,
                 ),
             ),
-        )
-    if name == "two-marbles":
-        combined = compose_parallel(
-            RegimeSystem("stochastic", STOCHASTIC_MATRIX, mode="unchecked"),
-            RegimeSystem("stochastic", PAIR_MATRIX, mode="unchecked"),
-        )
-        return Scenario(
-            name=name,
+        ),
+        Scenario(
+            name="two-marbles",
             note="two independent walkers combined by tensor product",
-            system=combined,
+            system=_TWO_WALKERS,
             checks=(
-                GoldenCheck("combined transition matrix", combined.matrix, TWO_MARBLE_MATRIX),
+                GoldenCheck("combined transition matrix", _TWO_WALKERS.matrix, TWO_MARBLE_MATRIX),
             ),
-        )
-    if name == "unitary-3":
-        sys = RegimeSystem("quantum", UNITARY_MATRIX, mode="unchecked")
-        return Scenario(
-            name=name,
+        ),
+        Scenario(
+            name="unitary-3",
             note="three-state unitary evolution: reversible, intensities doubly stochastic",
-            system=sys,
+            system=RegimeSystem("quantum", UNITARY_MATRIX, mode="unchecked"),
             checks=(
                 GoldenCheck(
                     "reverse then forward is the identity",
@@ -285,8 +281,17 @@ def scenario(name: str) -> Scenario:
                     UNITARY_MOD_SQUARED,
                 ),
             ),
-        )
-    raise ValueError(f"unknown scenario {name!r}, expected one of {SCENARIO_NAMES}")
+        ),
+    )
+}
+SCENARIO_NAMES = tuple(_SCENARIOS)
+
+
+def scenario(name: str) -> Scenario:
+    """The canned scenario of that name: one shared, read-only object per name."""
+    if name not in SCENARIO_NAMES:
+        raise ValueError(f"unknown scenario {name!r}, expected one of {SCENARIO_NAMES}")
+    return _SCENARIOS[name]
 
 
 def _deviation(actual: np.ndarray, expected: np.ndarray) -> float:
@@ -299,7 +304,6 @@ def run_scenario(s: Scenario, tol: float = 1e-9) -> ScenarioReport:
     A check passes when its maximum deviation is at most ``tol``
     (exactly zero for integer-valued goldens).
     """
-    results = []
     trace: tuple[np.ndarray, ...] = ()
     final = None
     probabilities = None
@@ -313,14 +317,12 @@ def run_scenario(s: Scenario, tol: float = 1e-9) -> ScenarioReport:
             probabilities = squared_moduli(final)
         elif s.system.regime == "stochastic":
             probabilities = np.asarray(final, dtype=float)
-    if s.expected_final is not None:
-        dev = _deviation(final, s.expected_final)
-        passed = dev == 0.0 if s.exact else dev <= tol
-        results.append(CheckResult("final state", passed, dev))
-    if s.expected_probabilities is not None:
-        dev = _deviation(probabilities, s.expected_probabilities)
-        results.append(CheckResult("final probabilities", dev <= tol, dev))
-    for check in s.checks:
+    final_checks = (
+        GoldenCheck("final state", final, s.expected_final, s.exact),
+        GoldenCheck("final probabilities", probabilities, s.expected_probabilities),
+    )
+    results = []
+    for check in [c for c in final_checks if c.expected is not None] + list(s.checks):
         dev = _deviation(check.actual, check.expected)
         passed = dev == 0.0 if check.exact else dev <= tol
         results.append(CheckResult(check.label, passed, dev))

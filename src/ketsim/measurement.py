@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, as_state, squared_moduli, validate
+from .algebra import DEFAULT_TOL, as_state, euclidean_norm, largest_part, squared_moduli, validate
 
 
 def random_source(seed: int | None = None) -> np.random.Generator:
@@ -27,12 +27,21 @@ def random_source(seed: int | None = None) -> np.random.Generator:
 
 
 def basis_distribution(state) -> np.ndarray:
-    """Outcome probabilities p_j = |c_j|^2 / S for a standard-basis measurement."""
+    """Outcome probabilities p_j = |c_j|^2 / S for a standard-basis measurement.
+
+    When S underflows to 0 or overflows to inf for a nonzero state, the
+    state is first divided by its ``largest_part``, so any finite state
+    has probabilities.
+    """
     x = as_state(state)
     w = squared_moduli(x)
     total = float(w.sum())
-    if total == 0.0:
-        raise ValueError("cannot measure the zero vector")
+    if not 0.0 < total < np.inf:
+        if not np.any(x):
+            raise ValueError("cannot measure the zero vector")
+        with np.errstate(under="ignore"):
+            w = squared_moduli(x / largest_part(x))
+        total = float(w.sum())
     return w / total
 
 
@@ -105,7 +114,8 @@ def is_product_state(state, dim_a: int, dim_b: int, tol: float = DEFAULT_TOL) ->
         raise ValueError(
             f"state of dimension {v.shape[0]} does not split as {dim_a} x {dim_b}"
         )
-    n = float(np.linalg.norm(v))
+    with np.errstate(over="ignore"):  # euclidean_norm rescales an overflowed norm
+        n = euclidean_norm(v)
     if n == 0.0:
         raise ValueError("cannot test the zero vector")
     grid = (v / n).reshape(dim_a, dim_b)

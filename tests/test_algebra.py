@@ -6,6 +6,8 @@ from hypothesis.extra.numpy import arrays
 
 from ketsim.algebra import (
     adjoint,
+    as_matrix,
+    as_state,
     bool_mat_mul,
     kron,
     mat_mul,
@@ -15,7 +17,7 @@ from ketsim.algebra import (
     normalize,
     validate,
 )
-from ketsim.dynamics import RegimeSystem
+from ketsim.dynamics import RegimeSystem, evolve
 from ketsim.experiments import (
     BULLET_MATRIX,
     MARBLE_MATRIX,
@@ -27,6 +29,7 @@ from ketsim.experiments import (
     UNITARY_MATRIX,
     UNITARY_MOD_SQUARED,
 )
+from ketsim.gates import apply, standard_gate
 
 TOL = 1e-9
 
@@ -355,3 +358,52 @@ def test_wrong_rank_inputs_rejected():
         mat_mul(np.zeros(3), np.zeros((3, 3)))
     with pytest.raises(ValueError, match="1-D"):
         norm(np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize(
+    "v, want",
+    [
+        ([1e200, 1e200], np.sqrt(2) * 1e200),
+        ([3e200j, 4e200], 5e200),
+        ([1e308 + 1e308j, 0.0], np.sqrt(2) * 1e308),
+        ([1e-200, 0.0], 1e-200),
+        ([3e-300, 4e-300], 5e-300),
+    ],
+)
+def test_norm_at_any_scale(v, want):
+    assert norm(v) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_norm_beyond_the_float_range_is_refused():
+    with pytest.raises(ValueError, match="norm exceeds the float range"):
+        norm([1.5e308, 1.5e308])
+
+
+@pytest.mark.parametrize("v, want", [([1e-200, 0.0], [1, 0]), ([3e200, 4e200j], [0.6, 0.8j])])
+def test_normalize_at_any_scale(v, want):
+    assert np.allclose(normalize(v), want, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: as_state([2**64]),
+        lambda: as_state(np.array(["1", "0"])),
+        lambda: as_matrix([[2**64]]),
+        lambda: as_matrix([["1"]]),
+        lambda: RegimeSystem("deterministic", [[2**64]], mode="unchecked"),
+        lambda: evolve(RegimeSystem("deterministic", [[1]]), [2**64], 1),
+        lambda: apply(standard_gate("NOT"), [2**64, 0]),
+    ],
+    ids=["as_state-int", "as_state-str", "as_matrix-int", "as_matrix-str",
+         "RegimeSystem", "evolve", "apply"],
+)
+def test_object_and_string_arrays_are_refused_as_values(call):
+    with pytest.raises(ValueError, match="entries must be numbers, got dtype"):
+        call()
+
+
+@pytest.mark.parametrize("dtype", [bool, np.uint8, np.int8, np.int64, np.uint64, np.float16, np.complex64])
+def test_bool_and_every_numeric_kind_are_accepted(dtype):
+    assert as_state(np.ones(2, dtype=dtype)).dtype == dtype
+    assert as_matrix(np.eye(2, dtype=dtype)).dtype == dtype

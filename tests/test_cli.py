@@ -420,3 +420,63 @@ def test_out_of_range_counts_are_usage_errors(tmp_path, capsys, command, flag, v
     assert exc.value.code == 2
     assert f"error: argument {flag}: must be at least" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0 fast", "line 1: bad amplitude in '0 fast'"),
+        ("1 0.5\n0 1 i", "line 2: bad amplitude in '0 1 i'"),
+        ("0 nan", "line 1: amplitude must be finite in '0 nan'"),
+        ("0 1 inf", "line 1: amplitude must be finite in '0 1 inf'"),
+        ("1 -inf", "line 1: amplitude must be finite in '1 -inf'"),
+    ],
+)
+def test_parse_state_rejects_bad_and_non_finite_amplitudes(text, message):
+    with pytest.raises(ParseFailure) as exc:
+        parse_state(text, 2)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "state, extra, want",
+    [
+        ("0 1e200", ("--regime", "stoch", "--unchecked", "--probabilities"),
+         "dim 1\n0 1e+200\nprobabilities:\n0 1\n"),
+        ("0 1e-200", ("--regime", "stoch", "--unchecked", "--probabilities"),
+         "dim 1\n0 1e-200\nprobabilities:\n0 1\n"),
+        ("0 1e200", (), "dim 1\n0 1\n"),
+        ("0 1e-200", (), "dim 1\n0 1\n"),
+    ],
+)
+def test_evolve_at_any_scale(tmp_path, capsys, state, extra, want):
+    graph = tmp_path / "one.graph"
+    graph.write_text("dim 1\n0 0 1\n")
+    assert run(capsys, "evolve", str(graph), "--state", state, *extra) == (0, want, "")
+
+
+def test_evolve_json_probabilities_of_an_overflowing_state(tmp_path, capsys):
+    graph = tmp_path / "one.graph"
+    graph.write_text("dim 1\n0 0 1\n")
+    code, out, err = run(
+        capsys, "evolve", str(graph), "--state", "0 1e200",
+        "--regime", "stoch", "--unchecked", "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["probabilities"] == [1.0]
+
+
+def test_sample_of_an_overflowing_state_prints_no_warning(tmp_path):
+    graph = tmp_path / "two.graph"
+    graph.write_text("dim 2\n0 0 1\n1 1 1\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run(
+        [sys.executable, "-m", "ketsim.cli", "sample", str(graph), "--state", "0 1e200\n1 1e200",
+         "--regime", "stoch", "--unchecked", "--shots", "10", "--seed", "1"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    lines = done.stdout.splitlines()
+    assert lines[0] == "shots 10"
+    assert sum(int(line.split()[1]) for line in lines[1:]) == 10

@@ -446,3 +446,21 @@ def test_quantum_steps_preserve_norm_on_random_unitaries():
         v = random_state(rng, n)
         v /= norm(v)
         assert abs(norm(step(sys_, v)) - 1) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "state, want",
+    [
+        ([1e200, 1e200], [np.sqrt(0.5), np.sqrt(0.5)]),
+        ([1e-200, 0.0], [1.0, 0.0]),
+        ([3e-300, 4e-300j], [0.6, 0.8j]),
+    ],
+)
+def test_strict_quantum_renormalises_at_any_scale(state, want):
+    out = evolve(RegimeSystem("quantum", np.eye(2)), state, 1)
+    assert np.allclose(out, want, rtol=0, atol=1e-15)
+
+
+def test_strict_quantum_refuses_a_norm_beyond_the_float_range():
+    with pytest.raises(ValueError, match="norm exceeds the float range"):
+        evolve(RegimeSystem("quantum", np.eye(2)), [1.5e308, 1.5e308], 1)

@@ -10,6 +10,7 @@ from ketsim.experiments import (
     SCENARIO_NAMES,
     STOCHASTIC_MATRIX,
     TWO_MARBLE_MATRIX,
+    Scenario,
     run_scenario,
     scenario,
 )
@@ -105,3 +106,46 @@ def test_deterministic_fixture_is_a_valid_shuffle():
 def test_reports_carry_notes():
     for name in SCENARIO_NAMES:
         assert scenario(name).note
+
+
+def test_scenario_is_one_shared_read_only_object():
+    for name in SCENARIO_NAMES:
+        s = scenario(name)
+        assert scenario(name) is s
+        held = [s.system.matrix, s.initial, s.expected_final, s.expected_probabilities]
+        held += [a for c in s.checks for a in (c.actual, c.expected)]
+        for a in held:
+            if a is not None:
+                with pytest.raises(ValueError, match="read-only"):
+                    a[(0,) * a.ndim] = 7
+        assert run_scenario(s).passed
+
+
+def test_run_scenario_grades_in_order_with_the_same_pass_rules():
+    labels = {
+        name: [c.label for c in run_scenario(scenario(name)).checks] for name in SCENARIO_NAMES
+    }
+    assert labels == {
+        "marbles-6": ["final state", "two-click reachability"],
+        "stochastic-3": ["final state"],
+        "bullets": ["final state"],
+        "photons": ["final probabilities", "per-edge intensities equal the bullet probabilities"],
+        "two-marbles": ["combined transition matrix"],
+        "unitary-3": [
+            "reverse then forward is the identity",
+            "squared moduli form a doubly stochastic matrix",
+        ],
+    }
+    marbles = run_scenario(scenario("marbles-6"))
+    assert all(c.deviation == 0.0 for c in marbles.checks)
+    # a loose tolerance never passes an exact check with a nonzero deviation, but passes the rest
+    s = scenario("marbles-6")
+    off_by_one = Scenario(s.name, s.note, s.system, s.initial, s.steps,
+                          s.expected_final + 1, exact=True, checks=s.checks)
+    graded = run_scenario(off_by_one, tol=10.0).checks
+    assert [(c.passed, c.deviation) for c in graded] == [(False, 1.0), (True, 0.0)]
+    photons = scenario("photons")
+    loose = Scenario(photons.name, photons.note, photons.system, photons.initial, photons.steps,
+                     expected_probabilities=photons.expected_probabilities + 1e-3)
+    (check,) = run_scenario(loose, tol=1e-2).checks
+    assert check.label == "final probabilities" and check.passed

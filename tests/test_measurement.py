@@ -304,3 +304,28 @@ def test_every_product_verdict_passes_the_minor_loop():
         state = grid_with_singular_values(rng, dim_a, dim_b, sigma).reshape(-1)
         if is_product_state(state, dim_a, dim_b).is_product:
             assert minor_loop_is_product(state, dim_a, dim_b)
+
+
+@pytest.mark.parametrize(
+    "state, want",
+    [
+        ([1e200, 0.0], [1.0, 0.0]),
+        ([1e200, 1e200], [0.5, 0.5]),
+        ([1e308 + 1e308j, 1e308], [2 / 3, 1 / 3]),
+        ([1e-200, 0.0], [1.0, 0.0]),
+        ([1e-200j, 1e-200], [0.5, 0.5]),
+    ],
+)
+def test_distribution_at_any_scale(state, want):
+    with np.errstate(over="ignore"):  # the plain |c|^2 overflows before the rescale
+        p = basis_distribution(state)
+    assert np.allclose(p, want, rtol=0, atol=1e-15)
+
+
+def test_product_test_at_any_scale():
+    with np.errstate(over="ignore"):
+        assert not is_product_state([1e200, 0, 0, 1e200], 2, 2).is_product
+        assert not is_product_state([1e-200, 0, 0, 1e-200], 2, 2).is_product
+        product = is_product_state([1e200, 1e200, 1e200, 1e200], 2, 2)
+    assert product.is_product
+    assert np.allclose(np.kron(product.factor_a, product.factor_b), [0.5] * 4, rtol=0, atol=1e-15)
