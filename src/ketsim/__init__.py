@@ -54,6 +54,7 @@ from .measurement import (
     collapse,
     is_product_state,
     random_source,
+    sample_counts,
     spectral_decompose,
 )
 
@@ -88,6 +89,7 @@ __all__ = [
     "random_source",
     "run_deutsch",
     "run_scenario",
+    "sample_counts",
     "scenario",
     "second_attempt",
     "sequential",

@@ -25,7 +25,7 @@ from .deutsch import BINARY_FUNCTIONS, run_deutsch
 from .dynamics import RegimeSystem, evolve
 from .experiments import SCENARIO_NAMES, run_scenario, scenario
 from .gates import ket_of_bits
-from .measurement import basis_distribution, collapse, random_source
+from .measurement import basis_distribution, random_source, sample_counts
 
 REGIME_ALIASES = {"det": "deterministic", "stoch": "stochastic", **{r: r for r in REGIMES}}
 
@@ -177,7 +177,7 @@ def _load_file(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseFailure(f"cannot read {path}: {exc}") from exc
 
 
@@ -298,11 +298,7 @@ def cmd_deutsch(args) -> int:
 
 def cmd_sample(args) -> int:
     final = _evolved_state(args)
-    rnd = random_source(args.seed)
-    counts = np.zeros(final.shape[0], dtype=np.int64)
-    for _ in range(args.shots):
-        idx, _post = collapse(final, rnd)
-        counts[idx] += 1
+    counts = sample_counts(final, args.shots, random_source(args.seed))
     print(f"shots {args.shots}")
     for i in range(final.shape[0]):
         print(f"{i} {counts[i]} {fmt_real(counts[i] / args.shots)}")

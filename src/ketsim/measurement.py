@@ -2,7 +2,9 @@
 
 Measuring a state vector in the standard basis yields outcome j with
 probability |c_j|^2 / S where S is the squared norm; the state then
-collapses to the basis ket at the sampled index.  Observables are
+collapses to the basis ket at the sampled index.  ``collapse`` draws
+one outcome; ``sample_counts`` tallies many in batched draws, equal to
+repeated ``collapse`` on the same source.  Observables are
 hermitian matrices; their spectral decomposition comes from LAPACK's
 hermitian eigensolver (``np.linalg.eigh``).  A joint state is a product
 exactly when its amplitude grid has Schmidt rank one, which is tested
@@ -15,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import DEFAULT_TOL, as_state, euclidean_norm, largest_part, squared_moduli, validate
+
+_CHUNK = 1 << 20  # uniforms drawn per batch in sample_counts: 8 MiB, whatever the shot count
 
 
 def random_source(seed: int | None = None) -> np.random.Generator:
@@ -34,8 +38,9 @@ def basis_distribution(state) -> np.ndarray:
     has probabilities.
     """
     x = as_state(state)
-    w = squared_moduli(x)
-    total = float(w.sum())
+    with np.errstate(over="ignore"):  # an overflowed total is rescaled below
+        w = squared_moduli(x)
+        total = float(w.sum())
     if not 0.0 < total < np.inf:
         if not np.any(x):
             raise ValueError("cannot measure the zero vector")
@@ -45,23 +50,49 @@ def basis_distribution(state) -> np.ndarray:
     return w / total
 
 
+def _outcomes(cum: np.ndarray, u):
+    """Outcome index of each uniform draw in ``u``, given the cumulative distribution ``cum``.
+
+    A draw in [cum[j-1], cum[j]) gives j, so a draw on a boundary goes to
+    the higher index; one beyond cum[-1] by rounding dust gives the last.
+    """
+    return np.minimum(np.searchsorted(cum, u, side="right"), cum.shape[0] - 1)
+
+
 def collapse(state, rnd: np.random.Generator) -> tuple[int, np.ndarray]:
     """Sample one measurement outcome and the post-measurement state.
 
-    The outcome index is drawn by inverting the cumulative distribution:
-    a uniform draw u lands in the half-open interval [cum[j-1], cum[j]).
-    A draw equal to an interval boundary goes to the higher index.  The
-    post-measurement state is exactly the basis ket at the outcome.
+    The outcome index is drawn by inverting the cumulative distribution
+    with one ``rnd.random()``: a uniform draw u lands in the half-open
+    interval [cum[j-1], cum[j]).  A draw equal to an interval boundary
+    goes to the higher index.  The post-measurement state is exactly the
+    basis ket at the outcome.
     """
     p = basis_distribution(state)
-    cum = np.cumsum(p)
-    u = rnd.random()
-    idx = int(np.searchsorted(cum, u, side="right"))
-    if idx >= p.shape[0]:  # u beyond cum[-1] by accumulated rounding dust
-        idx = p.shape[0] - 1
+    idx = int(_outcomes(np.cumsum(p), rnd.random()))
     post = np.zeros(p.shape[0])
     post[idx] = 1.0
     return idx, post
+
+
+def sample_counts(state, shots: int, rnd: np.random.Generator) -> np.ndarray:
+    """Outcome counts of ``shots`` standard-basis measurements, one int64 per basis index.
+
+    Equal to tallying ``shots`` calls of ``collapse`` on the same source:
+    the uniforms come in chunks of at most ``_CHUNK`` draws, and chunked
+    draws continue the same stream as one draw at a time.  Memory stays
+    bounded by the chunk size for any ``shots``.
+    """
+    if isinstance(shots, (bool, np.bool_)) or not (shots >= 0 and float(shots).is_integer()):
+        raise ValueError(f"shots must be a non-negative integer, got {shots}")
+    shots = int(shots)
+    cum = np.cumsum(basis_distribution(state))
+    n = cum.shape[0]
+    counts = np.zeros(n, dtype=np.int64)
+    for start in range(0, shots, _CHUNK):
+        draws = rnd.random(min(_CHUNK, shots - start))
+        counts += np.bincount(_outcomes(cum, draws), minlength=n)
+    return counts
 
 
 @dataclass(frozen=True, eq=False)

@@ -370,6 +370,24 @@ def test_sample_is_deterministic_given_a_seed(tmp_path, capsys):
     assert all(c > 0 for c in counts)
 
 
+SAMPLE_GOLDENS = {
+    # the README's line: ketsim sample h.graph --state 0 --shots 10000 --seed 42
+    "h": ("h.graph", "--state", "0", "--shots", "10000", "--seed", "42"),
+    "quantum32": ("quantum32.graph", "--state", "quantum32.state", "--steps", "2",
+                  "--shots", "100000", "--seed", "5"),
+    "stochastic32": ("stochastic32.graph", "--state", "stochastic32.state", "--regime", "stoch",
+                     "--steps", "2", "--shots", "100000", "--seed", "6"),
+}
+
+
+@pytest.mark.parametrize("name", SAMPLE_GOLDENS)
+def test_seeded_sample_matches_golden(name, capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN_DIR / "sample")
+    code, out, err = run(capsys, "sample", *SAMPLE_GOLDENS[name])
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN_DIR / "sample" / f"{name}.txt").read_text()
+
+
 def test_malformed_graph_exits_two(tmp_path, capsys):
     graph = tmp_path / "bad.graph"
     graph.write_text("dim 3\n0 5 1.0\n")
@@ -382,6 +400,24 @@ def test_missing_file_exits_two(capsys):
     code, _, err = run(capsys, "validate", "/no/such/file", "--regime", "quantum")
     assert code == 2
     assert "cannot read" in err
+
+
+def test_graph_file_that_is_not_utf8_exits_two(tmp_path, capsys):
+    graph = tmp_path / "bad.graph"
+    graph.write_bytes(b"dim 2\n0 1 1\xff\n")
+    code, out, err = run(capsys, "validate", str(graph), "--regime", "det")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {graph}: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_state_file_that_is_not_utf8_exits_two(tmp_path, capsys):
+    graph = tmp_path / "h.graph"
+    graph.write_text(graph_text(standard_gate("H").matrix))
+    state = tmp_path / "bad.state"
+    state.write_bytes(b"0 1\xff\n")
+    code, out, err = run(capsys, "sample", str(graph), "--state", str(state), "--seed", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {state}: 'utf-8' codec can't decode byte 0xff")
 
 
 def test_bad_choices_exit_two(tmp_path):

@@ -1,8 +1,12 @@
 """Collapse sampling, the eigensolver, and the product-state test."""
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from ketsim import measurement
 from ketsim.algebra import norm
 from ketsim.dynamics import state_tensor
 from ketsim.measurement import (
@@ -10,6 +14,7 @@ from ketsim.measurement import (
     collapse,
     is_product_state,
     random_source,
+    sample_counts,
     spectral_decompose,
 )
 
@@ -112,6 +117,83 @@ def test_random_source_streams_are_reproducible():
     assert [random_source(7).random() for _ in range(3)] == [
         random_source(7).random() for _ in range(3)
     ]
+
+
+def test_distribution_and_collapse_of_an_overflowing_state_warn_nothing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert basis_distribution([1e200, 0.0]).tolist() == [1.0, 0.0]
+        assert collapse([1e200, 1e200], random_source(0))[0] in (0, 1)
+        assert sample_counts([0.0, 1e300j], 5, random_source(0)).tolist() == [0, 5]
+
+
+# --- batched sampling ----------------------------------------------------------
+
+def collapse_counts(state, shots, rnd):
+    """Slow reference: one ``collapse`` per shot, tallied by outcome."""
+    counts = np.zeros(np.shape(state)[0], dtype=np.int64)
+    for _ in range(shots):
+        counts[collapse(state, rnd)[0]] += 1
+    return counts
+
+
+@st.composite
+def sampled_states(draw):
+    """Real or complex states of dimension 1-64, some entries exactly 0, never all 0."""
+    dim = draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = rng.normal(size=dim)
+    if draw(st.booleans()):
+        v = v + 1j * rng.normal(size=dim)
+    v[rng.random(dim) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = 0
+    v[int(rng.integers(dim))] = 1.0
+    return v
+
+
+@settings(max_examples=40, deadline=None)
+@given(sampled_states(), st.integers(0, 2**32 - 1), st.integers(1, 3000))
+def test_sample_counts_equals_repeated_collapse(state, seed, shots):
+    counts = sample_counts(state, shots, random_source(seed))
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, collapse_counts(state, shots, random_source(seed)))
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("shots", [1, 6, 7, 8, 14, 15, 100])
+def test_chunked_draws_equal_one_unchunked_draw(monkeypatch, chunk, shots):
+    v = np.array([1.0, 0.0, 2j, -0.5, 1.5])
+    whole = sample_counts(v, shots, random_source(shots))
+    monkeypatch.setattr(measurement, "_CHUNK", chunk)
+    assert np.array_equal(sample_counts(v, shots, random_source(shots)), whole)
+    assert whole.sum() == shots
+
+
+def test_sample_counts_of_no_shots_is_all_zero():
+    assert sample_counts([1.0, 1.0], 0, random_source(0)).tolist() == [0, 0]
+
+
+def test_sample_counts_rejects_zero_vector():
+    with pytest.raises(ValueError, match="cannot measure the zero vector"):
+        sample_counts(np.zeros(3), 10, random_source(1))
+
+
+@pytest.mark.parametrize("shots", [-1, True, 2.5, float("inf"), float("nan")])
+def test_sample_counts_rejects_bad_shot_counts(shots):
+    with pytest.raises(ValueError, match="shots must be a non-negative integer"):
+        sample_counts([1.0, 1.0], shots, random_source(1))
+
+
+def test_sample_counts_memory_is_bounded_by_the_chunk():
+    chunk = measurement._CHUNK
+    tracemalloc.start()
+    try:
+        counts = sample_counts(np.ones(8), 4 * chunk, random_source(3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counts.sum() == 4 * chunk
+    # a few chunk-sized arrays of 8-byte draws and indices; one big draw needs 8 bytes a shot
+    assert peak < 4 * 8 * chunk
 
 
 # --- spectral decomposition ------------------------------------------------------

@@ -18,13 +18,13 @@ EXPORTS = {
     "circuit_matrix", "collapse", "compose_parallel", "compose_sequential", "evolve",
     "first_attempt", "is_product_state", "ket_of_bits", "kron", "mat_mul", "mat_vec",
     "modulus_squared", "norm", "oracle_matrix", "parallel", "random_source",
-    "run_deutsch", "run_scenario", "scenario", "second_attempt", "sequential",
+    "run_deutsch", "run_scenario", "sample_counts", "scenario", "second_attempt", "sequential",
     "spectral_decompose", "standard_gate", "state_tensor", "step", "validate",
 }
 
 
 def test_exports_are_exactly_the_documented_names():
-    assert len(ketsim.__all__) == len(EXPORTS) == 36
+    assert len(ketsim.__all__) == len(EXPORTS) == 37
     assert set(ketsim.__all__) == EXPORTS
     documented = set(re.findall(r"`([A-Za-z_]+)`", (ROOT / "README.md").read_text()))
     for name in ketsim.__all__:
