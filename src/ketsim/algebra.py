@@ -47,6 +47,15 @@ def as_state(v) -> np.ndarray:
     return a
 
 
+def as_count(value, name: str) -> int:
+    """Coerce a count (clicks, shots, wires) to an int: any int, numpy integer or integral float."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 0:
+        return int(value)
+    if isinstance(value, (float, np.floating)) and value >= 0 and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be a non-negative integer, got {value}")
+
+
 def mat_vec(m, x) -> np.ndarray:
     """Multiply matrix by state: one time click of the dynamics."""
     m = as_matrix(m)
@@ -71,10 +80,15 @@ def mat_mul(a, b) -> np.ndarray:
     return a @ b
 
 
+def _non_boolean_entries(m: np.ndarray) -> np.ndarray:
+    """Row-major [i, j] index pairs of the entries that are neither 0 nor 1."""
+    return np.argwhere((m != 0) & (m != 1))
+
+
 def _require_boolean(m: np.ndarray, side: str) -> np.ndarray:
-    bad = ~((m == 0) | (m == 1))
-    if np.any(bad):
-        i, j = (int(k[0]) for k in np.nonzero(bad))
+    bad = _non_boolean_entries(m)
+    if bad.size:
+        i, j = bad[0]
         raise ValueError(f"{side} matrix entry [{i},{j}] = {m[i, j]} is not 0 or 1")
     return (m != 0).astype(np.int64)
 
@@ -195,11 +209,14 @@ def validate(m, regime: str, tol: float = DEFAULT_TOL) -> list[str]:
     return _validate_hermitian(m, tol)
 
 
+def refuse_violations(violations: list[str], prefix: str) -> None:
+    """Raise ValueError(prefix + the violations joined by "; ") when there are any."""
+    if violations:
+        raise ValueError(prefix + "; ".join(violations))
+
+
 def _validate_deterministic(m: np.ndarray) -> list[str]:
-    violations = []
-    bad = ~((m == 0) | (m == 1))
-    for i, j in zip(*np.nonzero(bad)):
-        violations.append(f"entry [{i},{j}] = {m[i, j]} is not 0 or 1")
+    violations = [f"entry [{i},{j}] = {m[i, j]} is not 0 or 1" for i, j in _non_boolean_entries(m)]
     if violations:
         return violations
     ones_per_column = (m == 1).sum(axis=0)

@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .algebra import REGIMES, validate
+from .algebra import DEFAULT_TOL, REGIMES, validate
 from .deutsch import BINARY_FUNCTIONS, run_deutsch
 from .dynamics import RegimeSystem, evolve
 from .experiments import SCENARIO_NAMES, run_scenario, scenario
@@ -34,6 +34,7 @@ _EVOLVE_REGIMES = tuple(k for k in sorted(REGIME_ALIASES) if k != "hermitian")
 
 
 MAX_DIM = 4096  # a dense complex matrix costs 16 * dim**2 bytes: 256 MiB at this limit
+MAX_SHOTS = 1 << 30  # sample_counts draws about 16M shots/s at dim 32: a minute at this limit
 
 
 class ParseFailure(Exception):
@@ -43,10 +44,16 @@ class ParseFailure(Exception):
 # ---------------------------------------------------------------- parsing
 
 def _content_lines(text: str):
-    """Yield (line_number, stripped_text) with comments and blanks removed."""
+    """Yield (line_number, stripped_text) with comments and blanks removed.
+
+    Outside comments a line must be ASCII without ``_``, because Python's
+    ``int`` and ``float`` read other Unicode digits, and ``1_0`` as 10.
+    """
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
+            if not line.isascii() or "_" in line:
+                raise ParseFailure(f"line {lineno}: expected ASCII text without `_`, got {line!a}")
             yield lineno, line
 
 
@@ -307,13 +314,15 @@ def cmd_sample(args) -> int:
 
 # ------------------------------------------------------------------ main
 
-def _int_at_least(low: int):
-    """argparse type for an integer flag; a value below ``low`` is a usage error."""
+def _int_in_range(low: int, high: int | None = None):
+    """argparse type for an integer flag; a value outside ``low``..``high`` is a usage error."""
 
     def integer(text: str) -> int:  # argparse names the type in its error for a non-integer
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     return integer
@@ -341,17 +350,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate = sub.add_parser("validate", help="check a graph against a regime predicate")
     p_validate.add_argument("graph")
     p_validate.add_argument("--regime", required=True, choices=sorted(REGIME_ALIASES))
-    p_validate.add_argument("--tol", type=_tolerance, default=1e-9)
+    p_validate.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p_validate.set_defaults(func=cmd_validate)
 
     p_evolve = sub.add_parser("evolve", help="advance a state through time clicks")
     p_evolve.add_argument("graph")
     p_evolve.add_argument("--state", required=True, help="state file or literal bitstring")
-    p_evolve.add_argument("--steps", type=_int_at_least(0), default=1)
+    p_evolve.add_argument("--steps", type=_int_in_range(0), default=1)
     p_evolve.add_argument("--regime", default="quantum", choices=_EVOLVE_REGIMES)
     p_evolve.add_argument("--unchecked", action="store_true", help="skip regime validation")
     p_evolve.add_argument("--probabilities", action="store_true")
-    p_evolve.add_argument("--tol", type=_tolerance, default=1e-9)
+    p_evolve.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p_evolve.add_argument("--format", default="text", choices=("text", "json"))
     p_evolve.set_defaults(func=cmd_evolve)
 
@@ -369,12 +378,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample = sub.add_parser("sample", help="evolve, then collapse-sample repeatedly")
     p_sample.add_argument("graph")
     p_sample.add_argument("--state", required=True)
-    p_sample.add_argument("--steps", type=_int_at_least(0), default=1)
-    p_sample.add_argument("--shots", type=_int_at_least(1), default=1000)
-    p_sample.add_argument("--seed", type=_int_at_least(0), default=None)
+    p_sample.add_argument("--steps", type=_int_in_range(0), default=1)
+    p_sample.add_argument("--shots", type=_int_in_range(1, MAX_SHOTS), default=1000)
+    p_sample.add_argument("--seed", type=_int_in_range(0), default=None)
     p_sample.add_argument("--regime", default="quantum", choices=_EVOLVE_REGIMES)
     p_sample.add_argument("--unchecked", action="store_true")
-    p_sample.add_argument("--tol", type=_tolerance, default=1e-9)
+    p_sample.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p_sample.set_defaults(func=cmd_sample)
 
     return parser

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import as_state
-from .gates import Gate, apply, ket_of_bits, parallel, standard_gate
+from .gates import Gate, _truth_table_matrix, apply, ket_of_bits, parallel, standard_gate
 from .measurement import basis_distribution
 
 # Classification guard: the top-wire distribution is analytically a point
@@ -61,10 +61,8 @@ def oracle_matrix(f: BinaryFunction) -> Gate:
 
     XOR-ing twice undoes itself, so every oracle is its own inverse.
     """
-    m = np.zeros((4, 4))
-    for x in (0, 1):
-        for y in (0, 1):
-            m[2 * x + (y ^ f.value(x)), 2 * x + y] = 1.0
+    # column 2x + y goes to row 2x + (y XOR f(x))
+    m = _truth_table_matrix({0: f.f0, 1: 1 - f.f0, 2: 2 + f.f1, 3: 3 - f.f1}, 2, 2)
     return Gate(f"oracle({f.f0},{f.f1})", m, 2, 2, quantum=True)
 
 

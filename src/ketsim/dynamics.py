@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, as_matrix, as_state, bool_mat_mul, euclidean_norm, validate
+from .algebra import (DEFAULT_TOL, as_count, as_matrix, as_state, bool_mat_mul, euclidean_norm,
+                      refuse_violations, validate)
 
 MODES = ("strict", "unchecked")
 
@@ -65,10 +66,7 @@ class RegimeSystem:
         m = _coerce_regime_matrix(m, self.regime).copy()
         if self.mode == "strict":
             violations = validate(m, self.regime, self.tol)
-            if violations:
-                raise ValueError(
-                    f"matrix fails {self.regime} validation: " + "; ".join(violations)
-                )
+            refuse_violations(violations, f"matrix fails {self.regime} validation: ")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -120,8 +118,7 @@ def evolve(sys: RegimeSystem, state, steps: int) -> np.ndarray:
     checks each click's input state; a result that is not finite raises
     ValueError, not a numpy warning.
     """
-    if isinstance(steps, (bool, np.bool_)) or steps < 0 or steps != int(steps):
-        raise ValueError(f"steps must be a non-negative integer, got {steps}")
+    steps = as_count(steps, "steps")
     x = as_state(state)
     if x.shape[0] != sys.dim:
         raise ValueError(f"state has dimension {x.shape[0]}, system expects {sys.dim}")
@@ -131,7 +128,7 @@ def evolve(sys: RegimeSystem, state, steps: int) -> np.ndarray:
         if total >= 2**63:
             raise ValueError(f"deterministic counts total {total}, more than int64 holds")
     with np.errstate(over="ignore", invalid="ignore"):  # the finite check below reports it
-        for _ in range(int(steps)):
+        for _ in range(steps):
             if sys.mode == "strict":
                 x = _check_strict_state(sys, x)
             x = sys.matrix @ x

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import adjoint, bool_mat_mul, mat_mul, modulus_squared, squared_moduli
+from .algebra import DEFAULT_TOL, adjoint, bool_mat_mul, mat_mul, modulus_squared, squared_moduli
 from .dynamics import RegimeSystem, compose_parallel, evolve
 
 # --- six-vertex marble shuffle: one marble stream follows the unique
@@ -150,12 +150,11 @@ UNITARY_MOD_SQUARED = np.array(
 
 @dataclass(frozen=True, eq=False)
 class GoldenCheck:
-    """A computed array pinned against its expected value."""
+    """A computed array pinned against its expected value: exactly, when that value is integer."""
 
     label: str
     actual: np.ndarray
     expected: np.ndarray
-    exact: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,7 +165,6 @@ class Scenario:
     initial: np.ndarray | None = None
     steps: int = 0
     expected_final: np.ndarray | None = None
-    exact: bool = False
     expected_probabilities: np.ndarray | None = None
     checks: tuple[GoldenCheck, ...] = ()
 
@@ -216,13 +214,11 @@ _SCENARIOS = {
             initial=MARBLE_START,
             steps=1,
             expected_final=MARBLE_AFTER_ONE_CLICK,
-            exact=True,
             checks=(
                 GoldenCheck(
                     "two-click reachability",
                     bool_mat_mul(MARBLE_MATRIX, MARBLE_MATRIX),
                     MARBLE_TWO_CLICK_PATHS,
-                    exact=True,
                 ),
             ),
         ),
@@ -298,7 +294,7 @@ def _deviation(actual: np.ndarray, expected: np.ndarray) -> float:
     return float(np.max(np.abs(np.asarray(actual) - np.asarray(expected))))
 
 
-def run_scenario(s: Scenario, tol: float = 1e-9) -> ScenarioReport:
+def run_scenario(s: Scenario, tol: float = DEFAULT_TOL) -> ScenarioReport:
     """Evolve the scenario and grade every golden value.
 
     A check passes when its maximum deviation is at most ``tol``
@@ -318,13 +314,13 @@ def run_scenario(s: Scenario, tol: float = 1e-9) -> ScenarioReport:
         elif s.system.regime == "stochastic":
             probabilities = np.asarray(final, dtype=float)
     final_checks = (
-        GoldenCheck("final state", final, s.expected_final, s.exact),
+        GoldenCheck("final state", final, s.expected_final),
         GoldenCheck("final probabilities", probabilities, s.expected_probabilities),
     )
     results = []
     for check in [c for c in final_checks if c.expected is not None] + list(s.checks):
         dev = _deviation(check.actual, check.expected)
-        passed = dev == 0.0 if check.exact else dev <= tol
+        passed = dev == 0.0 if np.asarray(check.expected).dtype.kind in "iu" else dev <= tol
         results.append(CheckResult(check.label, passed, dev))
     return ScenarioReport(
         scenario=s,

@@ -16,9 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import as_matrix, as_state, validate
-
-_GATE_TOL = 1e-9
+from .algebra import DEFAULT_TOL, as_count, as_matrix, as_state, refuse_violations, validate
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,10 +30,10 @@ class Gate:
     quantum: bool
 
     def __post_init__(self):
-        if self.in_bits < 0 or self.out_bits < 0:
-            raise ValueError("wire counts cannot be negative")
-        dtype = np.complex128 if np.iscomplexobj(self.matrix) else np.float64
-        m = as_matrix(np.array(self.matrix, dtype=dtype))
+        object.__setattr__(self, "in_bits", as_count(self.in_bits, "in_bits"))
+        object.__setattr__(self, "out_bits", as_count(self.out_bits, "out_bits"))
+        m = as_matrix(self.matrix)
+        m = np.array(m, dtype=np.complex128 if np.iscomplexobj(m) else np.float64)
         want = (2**self.out_bits, 2**self.in_bits)
         if m.shape != want:
             raise ValueError(
@@ -43,9 +41,8 @@ class Gate:
                 f"needs a {want[0]}x{want[1]} matrix, got {m.shape[0]}x{m.shape[1]}"
             )
         if self.quantum:
-            violations = validate(m, "quantum", _GATE_TOL)
-            if violations:
-                raise ValueError(f"gate {self.name!r} flagged quantum but " + "; ".join(violations))
+            violations = validate(m, "quantum", DEFAULT_TOL)
+            refuse_violations(violations, f"gate {self.name!r} flagged quantum but ")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -78,8 +75,7 @@ def _identity_name(wires: int) -> str:
 
 def identity(wires: int) -> Gate:
     """Identity gate on the given number of wires."""
-    if wires < 0:
-        raise ValueError("wire count cannot be negative")
+    wires = as_count(wires, "wires")
     return Gate(_identity_name(wires), np.eye(2**wires), wires, wires, quantum=True)
 
 
@@ -171,8 +167,7 @@ class Circuit:
     layers: tuple[tuple[Gate, ...], ...] = ()
 
     def __post_init__(self):
-        if self.wires < 0:
-            raise ValueError("wire count cannot be negative")
+        object.__setattr__(self, "wires", as_count(self.wires, "wires"))
         layers = tuple(tuple(layer) for layer in self.layers)
         object.__setattr__(self, "layers", layers)
         width = self.wires

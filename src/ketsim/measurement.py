@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, as_state, euclidean_norm, largest_part, squared_moduli, validate
+from .algebra import (DEFAULT_TOL, as_count, as_state, euclidean_norm, largest_part,
+                      refuse_violations, squared_moduli, validate)
 
 _CHUNK = 1 << 20  # uniforms drawn per batch in sample_counts: 8 MiB, whatever the shot count
 
@@ -83,9 +84,7 @@ def sample_counts(state, shots: int, rnd: np.random.Generator) -> np.ndarray:
     draws continue the same stream as one draw at a time.  Memory stays
     bounded by the chunk size for any ``shots``.
     """
-    if isinstance(shots, (bool, np.bool_)) or not (shots >= 0 and float(shots).is_integer()):
-        raise ValueError(f"shots must be a non-negative integer, got {shots}")
-    shots = int(shots)
+    shots = as_count(shots, "shots")
     cum = np.cumsum(basis_distribution(state))
     n = cum.shape[0]
     counts = np.zeros(n, dtype=np.int64)
@@ -111,9 +110,7 @@ def spectral_decompose(observable, tol: float = DEFAULT_TOL) -> EigenDecompositi
     and the eigenvector columns are orthonormal, with
     A @ v_j = lambda_j * v_j for each column.
     """
-    violations = validate(observable, "hermitian", tol)
-    if violations:
-        raise ValueError("observable must be hermitian: " + "; ".join(violations))
+    refuse_violations(validate(observable, "hermitian", tol), "observable must be hermitian: ")
     a = np.asarray(observable, dtype=np.complex128)
     a = (a + a.conj().T) / 2  # kill asymmetry dust within tol
     return EigenDecomposition(*np.linalg.eigh(a))

@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from ketsim.algebra import (
     adjoint,
+    as_count,
     as_matrix,
     as_state,
     bool_mat_mul,
@@ -29,7 +30,8 @@ from ketsim.experiments import (
     UNITARY_MATRIX,
     UNITARY_MOD_SQUARED,
 )
-from ketsim.gates import apply, standard_gate
+from ketsim.gates import Circuit, Gate, apply, identity, standard_gate
+from ketsim.measurement import random_source, sample_counts
 
 TOL = 1e-9
 
@@ -407,3 +409,44 @@ def test_object_and_string_arrays_are_refused_as_values(call):
 def test_bool_and_every_numeric_kind_are_accepted(dtype):
     assert as_state(np.ones(2, dtype=dtype)).dtype == dtype
     assert as_matrix(np.eye(2, dtype=dtype)).dtype == dtype
+
+
+# Each entry point that takes a count: (argument name, call with the count n, the int it kept).
+# The valid counts below are 0 and 3, so a gate's matrix has 1 or 8 columns (rows).
+COUNT_ENTRY_POINTS = {
+    "evolve": ("steps", lambda n: evolve(RegimeSystem("quantum", [[1j]]), [1.0], n), None),
+    "sample_counts": ("shots", lambda n: sample_counts([1.0, 1.0], n, random_source(1)), None),
+    "Gate.in_bits": ("in_bits", lambda n: Gate("g", np.ones((1, 8 if n else 1)), n, 0, False),
+                     lambda g: g.in_bits),
+    "Gate.out_bits": ("out_bits", lambda n: Gate("g", np.ones((8 if n else 1, 1)), 0, n, False),
+                      lambda g: g.out_bits),
+    "identity": ("wires", identity, lambda g: g.in_bits),
+    "Circuit": ("wires", Circuit, lambda c: c.wires),
+}
+
+
+@pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+@pytest.mark.parametrize("bad", [True, -1, 2.5, float("inf"), float("nan")])
+def test_every_count_refuses_what_is_not_a_non_negative_integer(entry, bad):
+    name, call, _ = COUNT_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be a non-negative integer, got {bad}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+@pytest.mark.parametrize("good", [0, np.int64(3), 3.0])
+def test_every_count_accepts_integral_values_and_keeps_an_int(entry, good):
+    _, call, kept = COUNT_ENTRY_POINTS[entry]
+    result = call(good)
+    if kept is not None:
+        assert type(kept(result)) is int and kept(result) == good
+    elif entry == "evolve":
+        assert result.tolist() == [1j**good]
+    else:
+        assert result.sum() == good
+
+
+def test_a_count_may_be_any_int():
+    assert as_count(10**400, "n") == 10**400
+    assert as_count(np.uint64(2**64 - 1), "n") == 2**64 - 1
+    assert as_count(1e300, "n") == int(1e300)

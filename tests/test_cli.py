@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ketsim.cli import ParseFailure, fmt_number, fmt_real, main, parse_graph, parse_state
+from ketsim.cli import MAX_SHOTS, ParseFailure, fmt_number, fmt_real, main, parse_graph, parse_state
 from ketsim.dynamics import RegimeSystem, evolve
 from ketsim.experiments import BULLET_MATRIX, SCENARIO_NAMES, STOCHASTIC_MATRIX
 from ketsim.gates import standard_gate
@@ -91,6 +91,34 @@ def test_parse_graph_rejects_a_dimension_above_the_limit(tmp_path, capsys):
     code, out, err = run(capsys, "validate", str(graph), "--regime", "stoch")
     assert (code, out) == (2, "")
     assert err == "error: line 1: dimension 100000000 exceeds the limit of 4096\n"
+
+
+@pytest.mark.parametrize(
+    "text, lineno",
+    [
+        ("dim \u0662\n", 1),  # ARABIC-INDIC DIGIT TWO, which int() reads as 2
+        ("dim 2\n0 \uff11 1\n", 2),  # FULLWIDTH DIGIT ONE as a vertex
+        ("dim 2\n0 1 \u0661\n", 2),  # a weight
+        ("dim 2\n0 1 1_0\n", 2),  # an underscore, which int() and float() skip
+        ("dim 1_0\n", 1),
+    ],
+)
+def test_parse_graph_reads_only_ascii_numbers_without_underscores(text, lineno, tmp_path, capsys):
+    line = text.splitlines()[lineno - 1]
+    message = f"line {lineno}: expected ASCII text without `_`, got {ascii(line)}"
+    with pytest.raises(ParseFailure) as exc:
+        parse_graph(text)
+    assert str(exc.value) == message
+    graph = tmp_path / "g.graph"
+    graph.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "evolve", str(graph), "--state", "0 1", "--regime", "stoch",
+                         "--unchecked")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_comments_may_hold_any_text():
+    m = parse_graph("# d\u00e9j\u00e0 vu: dim \u0662, 1_0\ndim 2 # \u2192 two\n0 1 1 # _\u0661\n")
+    assert m.tolist() == [[0, 0], [1, 0]]
 
 
 def test_parse_graph_rejects_duplicate_edge():
@@ -458,6 +486,20 @@ def test_out_of_range_counts_are_usage_errors(tmp_path, capsys, command, flag, v
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("shots", [MAX_SHOTS + 1, 10**400], ids=["max+1", "400-digit"])
+def test_shots_above_the_limit_are_usage_errors(capsys, monkeypatch, shots):
+    # the 400-digit count used to overflow float() in sample_counts: a traceback
+    monkeypatch.chdir(GOLDEN_DIR / "sample")
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "h.graph", "--state", "0", "--seed", "1", "--shots", str(shots)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.err.endswith(
+        f"error: argument --shots: must be at most {MAX_SHOTS}, got {shots}\n"
+    )
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -466,6 +508,8 @@ def test_out_of_range_counts_are_usage_errors(tmp_path, capsys, command, flag, v
         ("0 nan", "line 1: amplitude must be finite in '0 nan'"),
         ("0 1 inf", "line 1: amplitude must be finite in '0 1 inf'"),
         ("1 -inf", "line 1: amplitude must be finite in '1 -inf'"),
+        ("0 \u0661", "line 1: expected ASCII text without `_`, got '0 \\u0661'"),
+        ("0 1\n1 0.000_1", "line 2: expected ASCII text without `_`, got '1 0.000_1'"),
     ],
 )
 def test_parse_state_rejects_bad_and_non_finite_amplitudes(text, message):

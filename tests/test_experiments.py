@@ -141,7 +141,7 @@ def test_run_scenario_grades_in_order_with_the_same_pass_rules():
     # a loose tolerance never passes an exact check with a nonzero deviation, but passes the rest
     s = scenario("marbles-6")
     off_by_one = Scenario(s.name, s.note, s.system, s.initial, s.steps,
-                          s.expected_final + 1, exact=True, checks=s.checks)
+                          s.expected_final + 1, checks=s.checks)
     graded = run_scenario(off_by_one, tol=10.0).checks
     assert [(c.passed, c.deviation) for c in graded] == [(False, 1.0), (True, 0.0)]
     photons = scenario("photons")

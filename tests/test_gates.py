@@ -154,8 +154,11 @@ def test_gate_shape_must_match_wire_counts():
         ([[1.0, 0.0], [0.0, np.inf]], "matrix entries must all be finite"),
         ([1.0, 0.0], "expected a 2-D matrix, got an array of ndim 1"),
         (1.0, "expected a 2-D matrix, got an array of ndim 0"),
+        # checked as given: converting first built a NOT gate from strings and rounded 2**64
+        ([["0", "1"], ["1", "0"]], "matrix entries must be numbers, got dtype <U1"),
+        ([[1, 0], [0, 2**64]], "matrix entries must be numbers, got dtype object"),
     ],
-    ids=["nan", "inf", "1-D", "0-D"],
+    ids=["nan", "inf", "1-D", "0-D", "strings", "int-beyond-uint64"],
 )
 def test_gate_refuses_a_matrix_that_is_not_finite_and_2d(matrix, message):
     with pytest.raises(ValueError, match=message):
