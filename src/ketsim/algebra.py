@@ -202,11 +202,12 @@ def validate(m, regime: str, tol: float = DEFAULT_TOL) -> list[str]:
         )
     if regime == "deterministic":
         return _validate_deterministic(m)
-    if regime == "stochastic":
-        return _validate_stochastic(m, tol)
-    if regime == "quantum":
-        return _validate_quantum(m, tol)
-    return _validate_hermitian(m, tol)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed deviation reads inf: refused
+        if regime == "stochastic":
+            return _validate_stochastic(m, tol)
+        if regime == "quantum":
+            return _validate_quantum(m, tol)
+        return _validate_hermitian(m, tol)
 
 
 def refuse_violations(violations: list[str], prefix: str) -> None:

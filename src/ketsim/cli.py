@@ -35,10 +35,13 @@ _EVOLVE_REGIMES = tuple(k for k in sorted(REGIME_ALIASES) if k != "hermitian")
 
 MAX_DIM = 4096  # a dense complex matrix costs 16 * dim**2 bytes: 256 MiB at this limit
 MAX_SHOTS = 1 << 30  # sample_counts draws about 16M shots/s at dim 32: a minute at this limit
+# --steps * max(dim**2, 128**2) matrix entries: a strict click costs 2-21 us below dim 128 and
+# 0.3-1.5 ns per entry from dim 128 to 2048 (2-core x86-64 VM), so at most about a minute
+MAX_CLICK_WORK = 1 << 35
 
 
 class ParseFailure(Exception):
-    """Malformed input file; the message names the offending line."""
+    """Malformed input file (the message names the offending line) or a run beyond a limit."""
 
 
 # ---------------------------------------------------------------- parsing
@@ -209,6 +212,10 @@ def cmd_validate(args) -> int:
 def _evolved_state(args) -> np.ndarray:
     """Front half of ``evolve`` and ``sample``: read the graph and state, then evolve."""
     graph = parse_graph(_load_file(args.graph))
+    dim = graph.shape[0]
+    max_steps = MAX_CLICK_WORK // max(dim * dim, 128 * 128)
+    if args.steps > max_steps:
+        raise ParseFailure(f"--steps {args.steps} exceeds the limit of {max_steps} at dimension {dim}")
     mode = "unchecked" if args.unchecked else "strict"
     system = RegimeSystem(REGIME_ALIASES[args.regime], graph, mode=mode, tol=args.tol)
     return evolve(system, _state_from_arg(args.state, system.dim), args.steps)

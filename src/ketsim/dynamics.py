@@ -7,15 +7,15 @@ A system is a square transition matrix tagged with one of three regimes:
 - ``quantum``: unitary matrix moving complex amplitudes.
 
 Strict systems verify the regime predicate at construction.  ``evolve``
-checks the state once on entry, sanity checks each strict click's input
-state, and refuses a result that is not finite.  Unchecked systems skip
+checks the state once on entry, sanity checks the strict click inputs
+that can be wrong, and refuses a result that is not finite.  Unchecked systems skip
 the regime checks, which lets the double-slit toy matrices (deliberately
 non-conforming: they drop the edges that would make them
 stochastic/unitary) run as-is.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,7 +63,7 @@ class RegimeSystem:
         m = as_matrix(self.matrix)
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"system matrix must be square, got {m.shape[0]}x{m.shape[1]}")
-        m = _coerce_regime_matrix(m, self.regime).copy()
+        m = _coerce_regime_matrix(m, self.regime)  # a new array: never the caller's
         if self.mode == "strict":
             violations = validate(m, self.regime, self.tol)
             refuse_violations(violations, f"matrix fails {self.regime} validation: ")
@@ -78,25 +78,28 @@ class RegimeSystem:
 def _check_strict_state(sys: RegimeSystem, x: np.ndarray) -> np.ndarray:
     """Regime sanity checks applied to inputs of strict systems.
 
-    Deterministic states must be non-negative integer counts, stochastic
-    states must be distributions, and quantum states are normalized here
-    when they arrive with a norm other than 1.
+    Deterministic states must be non-negative integer counts whose total
+    int64 holds, stochastic states must be distributions, and quantum
+    states are normalized here when they arrive with a norm other than 1.
     """
     if sys.regime == "deterministic":
+        # a strict click conserves the total and bounds each count by it, so int64 holds every click
+        if not np.iscomplexobj(x) and (total := sum(map(int, x.tolist()))) >= 2**63:
+            raise ValueError(f"deterministic counts total {total}, more than int64 holds")
         if np.iscomplexobj(x) or np.any(x != np.floor(x)) or np.any(x < 0):
             raise ValueError("deterministic state must hold non-negative integer counts")
         return x.astype(np.int64)
     if sys.regime == "stochastic":
         if np.iscomplexobj(x):
             raise ValueError("stochastic state must be real")
-        x = x.astype(np.float64)
+        x = x.astype(np.float64, copy=False)  # converts only a caller's state, not a click's
         if np.any(x < -sys.tol) or np.any(x > 1 + sys.tol):
             raise ValueError("stochastic state entries must lie in [0, 1]")
         total = float(x.sum())
         if abs(total - 1) > sys.tol:
             raise ValueError(f"stochastic state sums to {total}, expected 1")
         return x
-    x = x.astype(np.complex128)
+    x = x.astype(np.complex128, copy=False)
     n = euclidean_norm(x)  # its overflow warning is silenced by evolve's errstate
     if n == 0.0:
         raise ValueError("quantum state must be nonzero")
@@ -113,23 +116,19 @@ def step(sys: RegimeSystem, state) -> np.ndarray:
 def evolve(sys: RegimeSystem, state, steps: int) -> np.ndarray:
     """Apply ``steps`` successive time clicks.  ``steps=0`` is the identity.
 
-    The state is checked once on entry, and so is the exact total count
-    of a strict deterministic run (int64 must hold it); a strict system
-    checks each click's input state; a result that is not finite raises
-    ValueError, not a numpy warning.
+    The state is checked once on entry.  A strict system checks each
+    click's input, but a deterministic one only the first: its validated
+    0/1 matrix keeps valid counts valid.  A result that is not finite
+    raises ValueError, not a numpy warning.
     """
     steps = as_count(steps, "steps")
     x = as_state(state)
     if x.shape[0] != sys.dim:
         raise ValueError(f"state has dimension {x.shape[0]}, system expects {sys.dim}")
-    if steps and sys.mode == "strict" and sys.regime == "deterministic" and not np.iscomplexobj(x):
-        # a strict click conserves the total and bounds each count by it, so int64 holds every click
-        total = sum(map(int, x.tolist()))
-        if total >= 2**63:
-            raise ValueError(f"deterministic counts total {total}, more than int64 holds")
+    checked_clicks = 0 if sys.mode != "strict" else 1 if sys.regime == "deterministic" else steps
     with np.errstate(over="ignore", invalid="ignore"):  # the finite check below reports it
-        for _ in range(steps):
-            if sys.mode == "strict":
+        for click in range(steps):
+            if click < checked_clicks:
                 x = _check_strict_state(sys, x)
             x = sys.matrix @ x
     if not np.all(np.isfinite(x)):

@@ -108,12 +108,16 @@ def spectral_decompose(observable, tol: float = DEFAULT_TOL) -> EigenDecompositi
     After the hermitian check the matrix is symmetrised and handed to
     ``np.linalg.eigh``.  Eigenvalues come out real (sorted ascending)
     and the eigenvector columns are orthonormal, with
-    A @ v_j = lambda_j * v_j for each column.
+    A @ v_j = lambda_j * v_j for each column.  An eigenvalue beyond the
+    float range raises ValueError.
     """
     refuse_violations(validate(observable, "hermitian", tol), "observable must be hermitian: ")
     a = np.asarray(observable, dtype=np.complex128)
-    a = (a + a.conj().T) / 2  # kill asymmetry dust within tol
-    return EigenDecomposition(*np.linalg.eigh(a))
+    a = a / 2 + a.conj().T / 2  # kill asymmetry dust within tol; halving first cannot overflow
+    eigenvalues, eigenvectors = np.linalg.eigh(a)
+    if not np.all(np.isfinite(eigenvalues)):
+        raise ValueError("eigenvalues exceed the float range")
+    return EigenDecomposition(eigenvalues, eigenvectors)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,4 +1,6 @@
 """Core linear algebra against naive reference implementations."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -334,6 +336,20 @@ def test_validate_rejects_a_tolerance_that_is_not_finite_and_non_negative(tol):
 def test_validate_rejects_non_square():
     with pytest.raises(ValueError, match="square"):
         validate(np.zeros((2, 3)), "quantum")
+
+
+def test_validate_reports_an_overflowing_deviation_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="deviates from identity by inf at entry"):
+            RegimeSystem("quantum", [[1e200]])
+        with pytest.raises(ValueError, match="flagged quantum but not unitary: .* by inf"):
+            Gate("g", [[1e200, 0], [0, 1]], 1, 1, quantum=True)
+        assert "row 0 sums to inf, expected 1" in validate([[1e308, 1e308], [0, 0]], "stochastic")
+        assert validate([[0, 1e308], [-1e308, 0]], "hermitian") == [
+            "not hermitian: differs from own adjoint by inf at entry [0,1]"
+        ]
+        assert validate([[1e308, 1e307], [1e307, -1e308]], "hermitian") == []
 
 
 # --- input hygiene -------------------------------------------------------------

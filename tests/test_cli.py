@@ -8,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ketsim.cli import MAX_SHOTS, ParseFailure, fmt_number, fmt_real, main, parse_graph, parse_state
+from ketsim import cli
+from ketsim.cli import (MAX_CLICK_WORK, MAX_SHOTS, ParseFailure, fmt_number, fmt_real, main,
+                        parse_graph, parse_state)
 from ketsim.dynamics import RegimeSystem, evolve
 from ketsim.experiments import BULLET_MATRIX, SCENARIO_NAMES, STOCHASTIC_MATRIX
 from ketsim.gates import standard_gate
@@ -319,6 +321,56 @@ def test_evolve_overflow_prints_only_the_error_line(tmp_path):
     )
     assert (done.returncode, done.stdout) == (1, "")
     assert done.stderr == "error: state entries must all be finite\n"
+
+
+def run_module(*argv):
+    """Run ``python -m ketsim.cli`` in a child process; a hang fails the test after 60 s."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    return subprocess.run(
+        [sys.executable, "-m", "ketsim.cli", *argv],
+        capture_output=True, text=True, env=env, check=False, timeout=60,
+    )
+
+
+@pytest.mark.parametrize("command", ["evolve", "sample"])
+def test_steps_beyond_the_work_limit_are_refused_before_any_click(tmp_path, command):
+    graph = tmp_path / "two.graph"
+    graph.write_text("dim 2\n0 1 1\n1 0 1\n")
+    steps = 10**20
+    done = run_module(command, str(graph), "--state", "0 1", "--regime", "det", "--steps", str(steps))
+    assert (done.returncode, done.stdout) == (2, "")
+    limit = MAX_CLICK_WORK // (128 * 128)  # the floor on the work of a click below dim 128
+    assert done.stderr == f"error: --steps {steps} exceeds the limit of {limit} at dimension 2\n"
+
+
+@pytest.mark.parametrize("dim, limit", [(2, 3), (128, 3), (200, 1)])
+def test_the_steps_limit_counts_each_click_as_at_least_128_squared_entries(
+    tmp_path, capsys, monkeypatch, dim, limit
+):
+    monkeypatch.setattr(cli, "MAX_CLICK_WORK", 3 * 128 * 128)
+    graph = tmp_path / "cycle.graph"
+    graph.write_text(graph_text(np.roll(np.eye(dim, dtype=np.int64), 1, axis=0)))
+    state = "\n".join(f"{i} 1" for i in range(dim))
+    code, _, err = run(capsys, "evolve", str(graph), "--state", state, "--regime", "det",
+                       "--steps", str(limit))
+    assert (code, err) == (0, "")
+    code, out, err = run(capsys, "sample", str(graph), "--state", state, "--regime", "det",
+                         "--steps", str(limit + 1))
+    assert (code, out) == (2, "")
+    assert err == f"error: --steps {limit + 1} exceeds the limit of {limit} at dimension {dim}\n"
+
+
+@pytest.mark.parametrize("command", ["evolve", "sample"])
+def test_an_overflowing_unitarity_check_prints_only_the_error_line(tmp_path, command):
+    graph = tmp_path / "huge.graph"
+    graph.write_text("dim 2\n0 0 1e200\n0 1 1e200\n1 0 1e200\n1 1 -1e200\n")
+    done = run_module(command, str(graph), "--state", "0")
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == (
+        "error: matrix fails quantum validation: not unitary: "
+        "adjoint product deviates from identity by inf at entry [0,0]\n"
+    )
 
 
 def test_evolve_refuses_a_count_total_beyond_int64(tmp_path, capsys):

@@ -380,6 +380,55 @@ def test_evolve_matches_the_per_click_reference_loop(regime, mode):
         assert outcome(step, sys_, x) == outcome(evolve, sys_, x, 1)
     if regime == "deterministic" and mode == "strict":
         assert refused > 0
+    # the benchmark's shape: 300 clicks at dim 64, from a state every strict check accepts
+    sys_ = RegimeSystem(regime, RANDOM_MATRIX[regime](rng, 64), mode=mode)
+    x = random_start(rng, regime, 64)
+    x = np.abs(x) if regime == "deterministic" else x
+    want = outcome(reference_evolve, sys_, x, 300)
+    assert want[0] == "ok" and outcome(evolve, sys_, x, 300) == want
+
+
+@pytest.mark.parametrize(
+    "regime, mode, steps, calls",
+    [
+        ("deterministic", "strict", 50, 1),
+        ("stochastic", "strict", 50, 50),
+        ("quantum", "strict", 50, 50),
+        *[(regime, "unchecked", 50, 0) for regime in sorted(RANDOM_MATRIX)],
+        *[(regime, "strict", 0, 0) for regime in sorted(RANDOM_MATRIX)],
+    ],
+)
+def test_strict_checks_run_only_on_clicks_that_can_spoil_the_state(
+    monkeypatch, regime, mode, steps, calls
+):
+    checked = []
+
+    def counting_check(sys_, x):
+        checked.append(x)
+        return _check_strict_state(sys_, x)
+
+    monkeypatch.setattr("ketsim.dynamics._check_strict_state", counting_check)
+    rng = np.random.default_rng(61)
+    sys_ = RegimeSystem(regime, RANDOM_MATRIX[regime](rng, 8), mode=mode)
+    x = random_start(rng, regime, 8)
+    evolve(sys_, np.abs(x) if regime == "deterministic" else x, steps)
+    assert len(checked) == calls
+
+
+@pytest.mark.parametrize(
+    "regime, dtype",
+    [(regime, dtype) for regime in ("stochastic", "quantum")
+     for dtype in (np.float16, np.float32, np.longdouble)] + [("quantum", np.complex64)],
+)
+def test_strict_runs_read_the_callers_state_at_the_matrix_precision(regime, dtype):
+    # a click returns the matrix dtype; the caller's state is converted to it before its check
+    rng = np.random.default_rng(67)
+    sys_ = RegimeSystem(regime, RANDOM_MATRIX[regime](rng, 5), tol=1e-3)
+    x = rng.dirichlet(np.ones(5)) if regime == "stochastic" else random_state(rng, 5)
+    x = x.astype(dtype) if np.issubdtype(dtype, np.complexfloating) else x.real.astype(dtype)
+    for steps in (1, 3):
+        want = outcome(evolve, sys_, x.astype(sys_.matrix.dtype), steps)
+        assert want[0] == "ok" and outcome(evolve, sys_, x, steps) == want
 
 
 def test_evolve_matches_reference_when_strict_checks_fire_mid_run():

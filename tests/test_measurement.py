@@ -284,6 +284,15 @@ def test_decompose_rejects_non_hermitian():
         spectral_decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_decompose_at_the_edge_of_the_float_range():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dec = spectral_decompose([[1e308, 0], [0, 1e308]])  # the symmetrisation used to overflow
+        assert dec.eigenvalues.tolist() == [1e308, 1e308]
+        with pytest.raises(ValueError, match="eigenvalues exceed the float range"):
+            spectral_decompose([[1e308, 1e308], [1e308, 1e308]])  # eigenvalue 2e308
+
+
 # --- separability ------------------------------------------------------------------
 
 def test_simple_product_state_with_factors():
