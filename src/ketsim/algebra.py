@@ -14,6 +14,8 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 
+_TINY, _MAX = float(np.finfo(float).tiny), float(np.finfo(float).max)
+
 REGIMES = ("deterministic", "stochastic", "quantum", "hermitian")
 
 
@@ -56,6 +58,15 @@ def as_count(value, name: str) -> int:
     raise ValueError(f"{name} must be a non-negative integer, got {value}")
 
 
+def as_tolerance(value) -> float:
+    """Coerce a tolerance to a float: any int, float or numpy real (not a bool), finite and >= 0."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    finite = real and (value <= _MAX if isinstance(value, int) else np.isfinite(float(value)))
+    if finite and value >= 0:
+        return float(value)
+    raise ValueError(f"tolerance must be at least 0 and finite, got {value}")
+
+
 def mat_vec(m, x) -> np.ndarray:
     """Multiply matrix by state: one time click of the dynamics."""
     m = as_matrix(m)
@@ -68,21 +79,27 @@ def mat_vec(m, x) -> np.ndarray:
     return m @ x
 
 
+def _product_operands(a, b) -> tuple[np.ndarray, np.ndarray]:
+    a, b = as_matrix(a), as_matrix(b)
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(f"dimension mismatch: cannot multiply {a.shape[0]}x{a.shape[1]} "
+                         f"by {b.shape[0]}x{b.shape[1]}")
+    return a, b
+
+
 def mat_mul(a, b) -> np.ndarray:
     """Matrix product ``a @ b`` (apply ``b`` first, then ``a``)."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: cannot multiply {a.shape[0]}x{a.shape[1]} "
-            f"by {b.shape[0]}x{b.shape[1]}"
-        )
-    return a @ b
+    return np.matmul(*_product_operands(a, b))
 
 
 def _non_boolean_entries(m: np.ndarray) -> np.ndarray:
     """Row-major [i, j] index pairs of the entries that are neither 0 nor 1."""
     return np.argwhere((m != 0) & (m != 1))
+
+
+def is_deterministic(m: np.ndarray) -> bool:
+    """True for 0/1 entries with one 1 per column: each basis column goes to one basis row."""
+    return not _non_boolean_entries(m).size and bool(np.all((m == 1).sum(axis=0) == 1))
 
 
 def _require_boolean(m: np.ndarray, side: str) -> np.ndarray:
@@ -100,16 +117,8 @@ def bool_mat_mul(a, b) -> np.ndarray:
     edge-path composition: ``bool_mat_mul(m, m)[i, j]`` is 1 exactly
     when a two-edge path leads from vertex j to vertex i.
     """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: cannot multiply {a.shape[0]}x{a.shape[1]} "
-            f"by {b.shape[0]}x{b.shape[1]}"
-        )
-    ai = _require_boolean(a, "left")
-    bi = _require_boolean(b, "right")
-    return (ai @ bi > 0).astype(np.int64)
+    a, b = _product_operands(a, b)
+    return (_require_boolean(a, "left") @ _require_boolean(b, "right") > 0).astype(np.int64)
 
 
 def kron(a, b) -> np.ndarray:
@@ -138,28 +147,43 @@ def modulus_squared(m) -> np.ndarray:
     return squared_moduli(as_matrix(m))
 
 
-def largest_part(x) -> float:
-    """Largest |re| or |im| over the entries; finite for finite ``x``, unlike max |x_j|."""
-    return float(max(np.max(np.abs(x.real)), np.max(np.abs(x.imag))))
+def rescaled(x) -> tuple[np.ndarray, float]:
+    """A nonzero ``x`` over its largest |re| or |im| (finite, unlike max |x_j|), and that scale"""
+    scale = float(max(np.max(np.abs(x.real)), np.max(np.abs(x.imag))))
+    # the parts apart: numpy divides a complex array by multiplying with 1 / scale, inf below 6e-309
+    with np.errstate(under="ignore"):
+        y = x.real / scale + 1j * (x.imag / scale) if np.iscomplexobj(x) else x / scale
+    return y, scale
+
+
+def stands(sum_of_squares: float) -> bool:
+    """Whether a plain result stands: its sum of squares is a normal float, neither tiny nor inf."""
+    return _TINY <= sum_of_squares < np.inf
 
 
 def euclidean_norm(x) -> float:
     """sqrt(sum |x_j|^2) of a 1-D array at any scale; no input checks.
 
-    ``np.linalg.norm`` stands when it is finite and nonzero.  A nonzero
-    ``x`` whose norm underflowed to 0 or overflowed to inf is divided by
-    its ``largest_part`` and measured again.  A norm beyond the float
-    range raises ValueError.
+    ``np.linalg.norm`` stands when its square is a normal float.  Any
+    other nonzero ``x`` is measured ``rescaled``.  A norm beyond the
+    float range raises ValueError.
     """
     n = float(np.linalg.norm(x))
-    if 0.0 < n < np.inf or not np.any(x):
+    if stands(n * n) or not np.any(x):
         return n
-    scale = largest_part(x)
-    with np.errstate(under="ignore"):
-        n = float(np.linalg.norm(x / scale)) * scale
+    y, scale = rescaled(x)
+    n = float(np.linalg.norm(y)) * scale
     if n == np.inf:
         raise ValueError("norm exceeds the float range")
     return n
+
+
+def unit(x, n: float) -> np.ndarray:
+    """``x / n`` for a nonzero ``x`` of ``euclidean_norm`` n, at any scale; no input checks."""
+    if stands(n * n):
+        return x / n
+    y = rescaled(x)[0]
+    return y / np.linalg.norm(y)
 
 
 def norm(v) -> float:
@@ -175,7 +199,7 @@ def normalize(v) -> np.ndarray:
     n = norm(v)
     if n == 0.0:
         raise ValueError("cannot normalize the zero vector")
-    return v / n
+    return unit(v, n)
 
 
 def validate(m, regime: str, tol: float = DEFAULT_TOL) -> list[str]:
@@ -194,8 +218,7 @@ def validate(m, regime: str, tol: float = DEFAULT_TOL) -> list[str]:
     m = as_matrix(m)
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}, expected one of {REGIMES}")
-    if not (np.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tolerance must be at least 0 and finite, got {tol}")
+    tol = as_tolerance(tol)
     if m.shape[0] != m.shape[1]:
         raise ValueError(
             f"{regime} validation requires a square matrix, got {m.shape[0]}x{m.shape[1]}"

@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, REGIMES, validate
+from .algebra import DEFAULT_TOL, REGIMES, as_tolerance, validate
 from .deutsch import BINARY_FUNCTIONS, run_deutsch
 from .dynamics import RegimeSystem, evolve
 from .experiments import SCENARIO_NAMES, run_scenario, scenario
@@ -338,12 +338,9 @@ def _int_in_range(low: int, high: int | None = None):
 def _tolerance(text: str) -> float:
     """argparse type for ``--tol``: a non-number, nan, inf or a negative value is a usage error."""
     try:
-        value = float(text)
+        return as_tolerance(float(text))
     except ValueError:
-        value = np.nan
-    if not (np.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"must be at least 0 and finite, got {text}")
-    return value
+        raise argparse.ArgumentTypeError(f"must be at least 0 and finite, got {text}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

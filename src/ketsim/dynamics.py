@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (DEFAULT_TOL, as_count, as_matrix, as_state, bool_mat_mul, euclidean_norm,
-                      refuse_violations, validate)
+from .algebra import (DEFAULT_TOL, as_count, as_matrix, as_state, as_tolerance, bool_mat_mul,
+                      euclidean_norm, refuse_violations, unit, validate)
 
 MODES = ("strict", "unchecked")
 
@@ -34,13 +34,10 @@ def _coerce_regime_matrix(m: np.ndarray, regime: str) -> np.ndarray:
         if np.any(m.imag != 0):
             raise ValueError(f"{regime} matrix entries must be real")
         m = m.real
-    if regime == "stochastic":
-        return m.astype(np.float64)
-    # deterministic: keep exact integer arithmetic whenever possible
-    if np.issubdtype(m.dtype, np.integer):
+    # deterministic: int64 exactly when every entry is an integer that int64 holds
+    integral = regime == "deterministic" and (m.dtype.kind in "biu" or np.all(m == np.round(m)))
+    if integral and -(2**63) <= int(m.min()) and int(m.max()) < 2**63:
         return m.astype(np.int64)
-    if np.all(m == np.round(m)):
-        return np.round(m).astype(np.int64)
     return m.astype(np.float64)
 
 
@@ -60,6 +57,7 @@ class RegimeSystem:
             )
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}, expected one of {MODES}")
+        object.__setattr__(self, "tol", as_tolerance(self.tol))
         m = as_matrix(self.matrix)
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"system matrix must be square, got {m.shape[0]}x{m.shape[1]}")
@@ -104,7 +102,7 @@ def _check_strict_state(sys: RegimeSystem, x: np.ndarray) -> np.ndarray:
     if n == 0.0:
         raise ValueError("quantum state must be nonzero")
     if abs(n - 1) > sys.tol:
-        x = x / n
+        x = unit(x, n)
     return x
 
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, adjoint, bool_mat_mul, mat_mul, modulus_squared, squared_moduli
+from .algebra import (DEFAULT_TOL, adjoint, as_tolerance, bool_mat_mul, mat_mul, modulus_squared,
+                      squared_moduli)
 from .dynamics import RegimeSystem, compose_parallel, evolve
 
 # --- six-vertex marble shuffle: one marble stream follows the unique
@@ -300,6 +301,7 @@ def run_scenario(s: Scenario, tol: float = DEFAULT_TOL) -> ScenarioReport:
     A check passes when its maximum deviation is at most ``tol``
     (exactly zero for integer-valued goldens).
     """
+    tol = as_tolerance(tol)
     trace: tuple[np.ndarray, ...] = ()
     final = None
     probabilities = None

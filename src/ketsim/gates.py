@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, as_count, as_matrix, as_state, refuse_violations, validate
+from .algebra import (DEFAULT_TOL, as_count, as_matrix, as_state, is_deterministic,
+                      refuse_violations, validate)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,13 +145,6 @@ def apply(g: Gate, state) -> np.ndarray:
     return g.matrix @ as_state(x)
 
 
-def _column_deterministic(m: np.ndarray) -> bool:
-    """True for matrices that send every basis column to a single basis row."""
-    if np.any((m != 0) & (m != 1)):
-        return False
-    return bool(np.all((m == 1).sum(axis=0) == 1))
-
-
 @dataclass(frozen=True, eq=False)
 class Circuit:
     """Gates arranged in layers over a fixed number of input wires.
@@ -179,7 +173,7 @@ class Circuit:
                 )
             width = sum(g.out_bits for g in layer)
         gates = [g for layer in layers for g in layer]
-        quantum_only = [g for g in gates if g.quantum and not _column_deterministic(g.matrix)]
+        quantum_only = [g for g in gates if g.quantum and not is_deterministic(g.matrix)]
         irreversible = [g for g in gates if not g.quantum]
         if quantum_only and irreversible:
             raise ValueError(

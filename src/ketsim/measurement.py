@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (DEFAULT_TOL, as_count, as_state, euclidean_norm, largest_part,
-                      refuse_violations, squared_moduli, validate)
+from .algebra import (DEFAULT_TOL, as_count, as_state, as_tolerance, euclidean_norm,
+                      refuse_violations, rescaled, squared_moduli, stands, unit, validate)
 
 _CHUNK = 1 << 20  # uniforms drawn per batch in sample_counts: 8 MiB, whatever the shot count
 
@@ -34,19 +34,18 @@ def random_source(seed: int | None = None) -> np.random.Generator:
 def basis_distribution(state) -> np.ndarray:
     """Outcome probabilities p_j = |c_j|^2 / S for a standard-basis measurement.
 
-    When S underflows to 0 or overflows to inf for a nonzero state, the
-    state is first divided by its ``largest_part``, so any finite state
-    has probabilities.
+    When S is not a normal float for a nonzero state, the state is first
+    ``rescaled``, so any finite state has probabilities.
     """
     x = as_state(state)
     with np.errstate(over="ignore"):  # an overflowed total is rescaled below
         w = squared_moduli(x)
         total = float(w.sum())
-    if not 0.0 < total < np.inf:
+    if not stands(total):
         if not np.any(x):
             raise ValueError("cannot measure the zero vector")
         with np.errstate(under="ignore"):
-            w = squared_moduli(x / largest_part(x))
+            w = squared_moduli(rescaled(x)[0])
         total = float(w.sum())
     return w / total
 
@@ -142,6 +141,7 @@ def is_product_state(state, dim_a: int, dim_b: int, tol: float = DEFAULT_TOL) ->
     to one overall scalar.
     """
     v = as_state(state)
+    dim_a, dim_b, tol = as_count(dim_a, "dim_a"), as_count(dim_b, "dim_b"), as_tolerance(tol)
     if dim_a < 1 or dim_b < 1 or dim_a * dim_b != v.shape[0]:
         raise ValueError(
             f"state of dimension {v.shape[0]} does not split as {dim_a} x {dim_b}"
@@ -150,7 +150,7 @@ def is_product_state(state, dim_a: int, dim_b: int, tol: float = DEFAULT_TOL) ->
         n = euclidean_norm(v)
     if n == 0.0:
         raise ValueError("cannot test the zero vector")
-    grid = (v / n).reshape(dim_a, dim_b)
+    grid = unit(v, n).reshape(dim_a, dim_b)
     sigma = np.linalg.svd(grid, compute_uv=False)
     if sigma.shape[0] > 1 and sigma[0] * sigma[1] > tol:
         return SeparabilityResult(False)

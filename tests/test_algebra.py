@@ -31,9 +31,11 @@ from ketsim.experiments import (
     STOCHASTIC_START,
     UNITARY_MATRIX,
     UNITARY_MOD_SQUARED,
+    run_scenario,
+    scenario,
 )
 from ketsim.gates import Circuit, Gate, apply, identity, standard_gate
-from ketsim.measurement import random_source, sample_counts
+from ketsim.measurement import is_product_state, random_source, sample_counts, spectral_decompose
 
 TOL = 1e-9
 
@@ -324,13 +326,37 @@ def test_validate_rejects_unknown_regime():
         validate(np.eye(2), "thermal")
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+BAD_TOLERANCES = [float("nan"), float("inf"), -1.0, True, "abc", None, 1j]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLERANCES)
 def test_validate_rejects_a_tolerance_that_is_not_finite_and_non_negative(tol):
     with pytest.raises(ValueError, match="tolerance"):
         validate(np.eye(2), "quantum", tol)
     with pytest.raises(ValueError, match="tolerance"):
         RegimeSystem("quantum", np.ones((2, 2)), tol=tol)
     assert validate(np.eye(2), "quantum", 0.0) == []
+
+
+@pytest.mark.parametrize("tol", BAD_TOLERANCES)
+def test_every_entry_point_refuses_a_bad_tolerance_alike(tol):
+    calls = [
+        lambda: RegimeSystem("quantum", np.eye(2), tol=tol),
+        lambda: RegimeSystem("quantum", np.eye(2), mode="unchecked", tol=tol),
+        lambda: spectral_decompose(np.eye(2), tol),
+        lambda: is_product_state([1, 0, 0, 0], 2, 2, tol),
+        lambda: run_scenario(scenario("photons"), tol),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == f"tolerance must be at least 0 and finite, got {tol}"
+
+
+@pytest.mark.parametrize("tol", [0, 2, np.float32(0.5), np.int8(1), np.uint64(3), 1e-12])
+def test_a_system_stores_its_tolerance_as_a_float(tol):
+    stored = RegimeSystem("quantum", np.eye(2), mode="unchecked", tol=tol).tol
+    assert type(stored) is float and stored == tol
 
 
 def test_validate_rejects_non_square():
@@ -386,6 +412,7 @@ def test_wrong_rank_inputs_rejected():
         ([1e308 + 1e308j, 0.0], np.sqrt(2) * 1e308),
         ([1e-200, 0.0], 1e-200),
         ([3e-300, 4e-300], 5e-300),
+        ([1e-320j, 0], 1e-320),
     ],
 )
 def test_norm_at_any_scale(v, want):
@@ -397,7 +424,14 @@ def test_norm_beyond_the_float_range_is_refused():
         norm([1.5e308, 1.5e308])
 
 
-@pytest.mark.parametrize("v, want", [([1e-200, 0.0], [1, 0]), ([3e200, 4e200j], [0.6, 0.8j])])
+@pytest.mark.parametrize(
+    "v, want",
+    [
+        ([1e-200, 0.0], [1, 0]),
+        ([3e200, 4e200j], [0.6, 0.8j]),
+        ([1e-320j, 1e-320], [np.sqrt(0.5) * 1j, np.sqrt(0.5)]),
+    ],
+)
 def test_normalize_at_any_scale(v, want):
     assert np.allclose(normalize(v), want, rtol=0, atol=1e-15)
 

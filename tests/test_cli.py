@@ -1,12 +1,16 @@
 """Command-line interface: file parsing, output formats, exit codes."""
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ketsim import cli
 from ketsim.cli import (MAX_CLICK_WORK, MAX_SHOTS, ParseFailure, fmt_number, fmt_real, main,
@@ -579,6 +583,9 @@ def test_parse_state_rejects_bad_and_non_finite_amplitudes(text, message):
          "dim 1\n0 1e-200\nprobabilities:\n0 1\n"),
         ("0 1e200", (), "dim 1\n0 1\n"),
         ("0 1e-200", (), "dim 1\n0 1\n"),
+        ("0 3e-160", (), "dim 1\n0 1\n"),
+        ("0 1e-320 1e-320", ("--probabilities",),
+         "dim 1\n0 0.707106781187+0.707106781187i\nprobabilities:\n0 1\n"),
     ],
 )
 def test_evolve_at_any_scale(tmp_path, capsys, state, extra, want):
@@ -612,3 +619,72 @@ def test_sample_of_an_overflowing_state_prints_no_warning(tmp_path):
     lines = done.stdout.splitlines()
     assert lines[0] == "shots 10"
     assert sum(int(line.split()[1]) for line in lines[1:]) == 10
+
+
+def test_a_deterministic_weight_beyond_int64_is_stored_as_a_float(tmp_path, capsys):
+    graph = tmp_path / "big.graph"
+    graph.write_text("dim 2\n0 0 1e300\n1 1 1\n")
+    argv = ("evolve", str(graph), "--state", "0 1", "--regime", "det")
+    assert run(capsys, *argv) == (
+        1, "", "error: matrix fails deterministic validation: entry [0,0] = 1e+300 is not 0 or 1\n"
+    )
+    assert run(capsys, *argv, "--unchecked") == (0, "dim 2\n0 1e+300\n1 0\n", "")
+
+
+# ---------------------------------------------------------------- fuzzing
+
+# the edges of the float and integer ranges, next to ordinary finite floats
+EDGE_NUMBERS = [1e300, -1e300, 2.0**63, 2.0**64, 1e-320, -5e-324, 2.2e-308, 1.797e308]
+
+
+def number_text():
+    """`<re> [<im>]` text with parts from finite floats and the edge values."""
+    part = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGE_NUMBERS))
+    return st.builds(
+        lambda re_part, im_part: " ".join(repr(x) for x in (re_part, im_part) if x is not None),
+        part, st.none() | part,
+    )
+
+
+@st.composite
+def cli_runs(draw):
+    """Graph text, sparse state text and argv (after the graph path) of one CLI run."""
+    dim = draw(st.integers(1, 4))
+    vertex = st.integers(0, dim - 1)
+    edges = draw(st.dictionaries(st.tuples(vertex, vertex), number_text(), max_size=dim * dim))
+    amplitudes = draw(st.dictionaries(vertex, number_text(), max_size=dim))
+    graph = f"dim {dim}\n" + "".join(f"{s} {d} {w}\n" for (s, d), w in edges.items())
+    state = "".join(f"{i} {a}\n" for i, a in amplitudes.items())
+    command = draw(st.sampled_from([
+        ("evolve",), ("evolve", "--format", "json"), ("evolve", "--probabilities"),
+        ("sample", "--shots", "5", "--seed", "1"), ("validate",),
+    ]))
+    regime = ("--regime", draw(st.sampled_from(["det", "stoch", "quantum"])))
+    if command[0] == "validate":
+        return graph, state, command, regime
+    steps = ("--steps", str(draw(st.integers(0, 3))))
+    unchecked = ("--unchecked",) if draw(st.booleans()) else ()
+    return graph, state, command, (*regime, *steps, *unchecked)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(cli_runs())
+def test_every_cli_run_exits_cleanly(tmp_path_factory, case):
+    graph_text_, state_text, command, options = case
+    folder = tmp_path_factory.getbasetemp()
+    graph, state = folder / "fuzz.graph", folder / "fuzz.state"
+    graph.write_text(graph_text_)
+    state.write_text(state_text)
+    argv = [command[0], str(graph), *command[1:], *options]
+    if command[0] != "validate":
+        argv += ["--state", str(state)]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    assert [str(w.message) for w in caught] == []
+    assert all(line.startswith("error: ") for line in err.getvalue().splitlines())
+    if command[0] != "validate":  # a validation report may say a row sums to inf
+        assert "nan" not in out.getvalue().lower() and "inf" not in out.getvalue().lower()

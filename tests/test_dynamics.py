@@ -1,4 +1,6 @@
 """Regime systems: stepping, validation modes, and composition."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,25 @@ def test_non_square_matrix_rejected():
 def test_deterministic_matrix_stored_as_integers():
     sys_ = RegimeSystem("deterministic", MARBLE_MATRIX.astype(float))
     assert sys_.matrix.dtype == np.int64
+
+
+@pytest.mark.parametrize(
+    "m, dtype, want",
+    [
+        (np.array([[2**64 - 1]], dtype=np.uint64), np.float64, [[1.8446744073709552e19]]),
+        ([[2.0**63]], np.float64, [[2.0**63]]),
+        ([[1e300, 0.0], [0.0, 1.0]], np.float64, [[1e300, 0.0], [0.0, 1.0]]),
+        (np.array([[2**63 - 1, 0], [-(2**63), 1]]), np.int64, [[2**63 - 1, 0], [-(2**63), 1]]),
+        (np.array([[True, False], [False, True]]), np.int64, [[1, 0], [0, 1]]),
+    ],
+    ids=["uint64-max", "2^63", "1e300", "int64-range", "bool"],
+)
+def test_deterministic_storage_is_int64_exactly_when_int64_holds_every_entry(m, dtype, want):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stored = RegimeSystem("deterministic", m, mode="unchecked").matrix
+    assert stored.dtype == dtype
+    assert stored.tolist() == want
 
 
 def test_system_matrix_is_read_only():
@@ -503,6 +524,8 @@ def test_quantum_steps_preserve_norm_on_random_unitaries():
         ([1e200, 1e200], [np.sqrt(0.5), np.sqrt(0.5)]),
         ([1e-200, 0.0], [1.0, 0.0]),
         ([3e-300, 4e-300j], [0.6, 0.8j]),
+        ([3e-160, 0.0], [1.0, 0.0]),
+        ([1e-320 + 1e-320j, 0.0], [np.sqrt(0.5) * (1 + 1j), 0.0]),
     ],
 )
 def test_strict_quantum_renormalises_at_any_scale(state, want):

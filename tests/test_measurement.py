@@ -405,6 +405,7 @@ def test_every_product_verdict_passes_the_minor_loop():
         ([1e308 + 1e308j, 1e308], [2 / 3, 1 / 3]),
         ([1e-200, 0.0], [1.0, 0.0]),
         ([1e-200j, 1e-200], [0.5, 0.5]),
+        ([1e-320j, 1e-320j], [0.5, 0.5]),
     ],
 )
 def test_distribution_at_any_scale(state, want):
@@ -420,3 +421,19 @@ def test_product_test_at_any_scale():
         product = is_product_state([1e200, 1e200, 1e200, 1e200], 2, 2)
     assert product.is_product
     assert np.allclose(np.kron(product.factor_a, product.factor_b), [0.5] * 4, rtol=0, atol=1e-15)
+    subnormal = is_product_state([1e-320j, 1e-320j, 1e-320j, 1e-320j], 2, 2)
+    assert subnormal.is_product
+    assert np.allclose(np.kron(subnormal.factor_a, subnormal.factor_b), [0.5j] * 4, rtol=0, atol=1e-15)
+
+
+def test_sampling_a_subnormal_complex_state_matches_the_unit_scale():
+    counts = sample_counts([1e-320j, 1e-320j], 1000, random_source(1))
+    assert counts.tolist() == sample_counts([1, 1], 1000, random_source(1)).tolist() == [507, 493]
+
+
+def test_product_test_dimensions_are_counts():
+    bell = np.array([1, 0, 0, 1]) / np.sqrt(2)
+    assert not is_product_state(bell, 2.0, 2).is_product
+    for dims in [(True, 4), (2, 2.5), (-2, -2)]:
+        with pytest.raises(ValueError, match="must be a non-negative integer, got"):
+            is_product_state(bell, *dims)
