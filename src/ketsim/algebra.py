@@ -179,7 +179,7 @@ def euclidean_norm(x) -> float:
 
 
 def unit(x, n: float) -> np.ndarray:
-    """``x / n`` for a nonzero ``x`` of ``euclidean_norm`` n, at any scale; no input checks."""
+    """``x / n`` for a nonzero ``x`` of norm n; redone at any scale when n does not stand."""
     if stands(n * n):
         return x / n
     y = rescaled(x)[0]

@@ -396,8 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with np.errstate(over="ignore"):  # what overflows is rescaled or refused; no numpy warning
-            return args.func(args)
+        return args.func(args)
     except ParseFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

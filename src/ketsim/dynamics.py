@@ -8,10 +8,11 @@ A system is a square transition matrix tagged with one of three regimes:
 
 Strict systems verify the regime predicate at construction.  ``evolve``
 checks the state once on entry, sanity checks the strict click inputs
-that can be wrong, and refuses a result that is not finite.  Unchecked systems skip
-the regime checks, which lets the double-slit toy matrices (deliberately
-non-conforming: they drop the edges that would make them
-stochastic/unitary) run as-is.
+that can be wrong, and refuses a result that is not finite.  Unchecked
+systems skip the regime checks, which lets the double-slit toy matrices
+(deliberately non-conforming: they drop the edges that would make them
+stochastic/unitary) run as-is.  Compositions, ``state_tensor`` and unchecked
+integer clicks multiply through ``_product``: exact or finite, or ValueError.
 """
 from __future__ import annotations
 
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (DEFAULT_TOL, as_count, as_matrix, as_state, as_tolerance, bool_mat_mul,
-                      euclidean_norm, refuse_violations, unit, validate)
+from .algebra import (DEFAULT_TOL, as_count, as_matrix, as_state, as_tolerance, euclidean_norm,
+                      refuse_violations, unit, validate)
 
 MODES = ("strict", "unchecked")
 
@@ -52,9 +53,7 @@ class RegimeSystem:
 
     def __post_init__(self):
         if self.regime not in _DYNAMIC_REGIMES:
-            raise ValueError(
-                f"unknown regime {self.regime!r}, expected one of {_DYNAMIC_REGIMES}"
-            )
+            raise ValueError(f"unknown regime {self.regime!r}, expected one of {_DYNAMIC_REGIMES}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}, expected one of {MODES}")
         object.__setattr__(self, "tol", as_tolerance(self.tol))
@@ -106,6 +105,28 @@ def _check_strict_state(sys: RegimeSystem, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _left_bound(op, left: np.ndarray) -> float:
+    """B with |op(left, right)| <= B * max |right|: max |left| or max |left| row sum, rounded up."""
+    a = np.abs(left, dtype=np.float64)  # in float64: int64 holds no |-2**63|
+    # n * 2**-50 is 8n ulps: more than the n + 3 that the float64 sum and products can round down
+    return float((a if op is np.kron else a.sum(axis=1)).max()) * (1 + left.shape[-1] * 2.0**-50)
+
+
+def _product(op, left, right, left_bound: float | None = None) -> np.ndarray:
+    """``op(left, right)`` for np.matmul or np.kron, exact and finite or ValueError, no warning."""
+    dtype, noun = np.result_type(left, right), "state" if right.ndim == 1 else "matrix"
+    if dtype.kind in "iu":  # checked before the product, which would wrap silently
+        bound = _left_bound(op, left) if left_bound is None else left_bound
+        if bound * float(np.abs(right, dtype=np.float64).max()) >= np.iinfo(dtype).max + 1.0:
+            raise ValueError(f"{noun} entries might exceed what {dtype} holds")
+        return op(left, right)
+    with np.errstate(over="ignore", invalid="ignore"):  # a result that is not finite is refused
+        out = op(left, right)
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"{noun} entries must all be finite")
+    return out
+
+
 def step(sys: RegimeSystem, state) -> np.ndarray:
     """One time click: ``evolve(sys, state, 1)``."""
     return evolve(sys, state, 1)
@@ -116,13 +137,18 @@ def evolve(sys: RegimeSystem, state, steps: int) -> np.ndarray:
 
     The state is checked once on entry.  A strict system checks each
     click's input, but a deterministic one only the first: its validated
-    0/1 matrix keeps valid counts valid.  A result that is not finite
-    raises ValueError, not a numpy warning.
+    0/1 matrix keeps valid counts valid.  A result that is not finite, or
+    unchecked counts that int64 might not hold, raise ValueError, no warning.
     """
     steps = as_count(steps, "steps")
     x = as_state(state)
     if x.shape[0] != sys.dim:
         raise ValueError(f"state has dimension {x.shape[0]}, system expects {sys.dim}")
+    if sys.mode == "unchecked" and np.result_type(sys.matrix, x).kind in "iu":
+        rows = _left_bound(np.matmul, sys.matrix)  # once per call: a click costs one max |x|
+        for _ in range(steps):
+            x = _product(np.matmul, sys.matrix, x, rows)
+        return x.copy() if x is state else x
     checked_clicks = 0 if sys.mode != "strict" else 1 if sys.regime == "deterministic" else steps
     with np.errstate(over="ignore", invalid="ignore"):  # the finite check below reports it
         for click in range(steps):
@@ -135,23 +161,12 @@ def evolve(sys: RegimeSystem, state, steps: int) -> np.ndarray:
 
 
 def compose_sequential(first: RegimeSystem, second: RegimeSystem) -> RegimeSystem:
-    """System performing ``first`` then ``second`` in one click.
-
-    The deterministic regime composes edges as boolean paths; the other
-    regimes use the ordinary matrix product ``second @ first``.
-    """
+    """System performing ``first`` then ``second`` in one click: ``second @ first``, any regime."""
     if first.regime != second.regime:
-        raise ValueError(
-            f"cannot compose {first.regime} system with {second.regime} system"
-        )
+        raise ValueError(f"cannot compose {first.regime} system with {second.regime} system")
     if first.dim != second.dim:
-        raise ValueError(
-            f"dimension mismatch: {first.dim} versus {second.dim}"
-        )
-    if first.regime == "deterministic":
-        m = bool_mat_mul(second.matrix, first.matrix)
-    else:
-        m = second.matrix @ first.matrix
+        raise ValueError(f"dimension mismatch: {first.dim} versus {second.dim}")
+    m = _product(np.matmul, second.matrix, first.matrix)
     mode = "strict" if (first.mode == "strict" and second.mode == "strict") else "unchecked"
     return RegimeSystem(first.regime, m, mode=mode, tol=min(first.tol, second.tol))
 
@@ -165,9 +180,10 @@ def compose_parallel(a: RegimeSystem, b: RegimeSystem) -> RegimeSystem:
     if a.regime != b.regime:
         raise ValueError(f"cannot combine {a.regime} system with {b.regime} system")
     mode = "strict" if (a.mode == "strict" and b.mode == "strict") else "unchecked"
-    return RegimeSystem(a.regime, np.kron(a.matrix, b.matrix), mode=mode, tol=min(a.tol, b.tol))
+    m = _product(np.kron, a.matrix, b.matrix)
+    return RegimeSystem(a.regime, m, mode=mode, tol=min(a.tol, b.tol))
 
 
 def state_tensor(a, b) -> np.ndarray:
     """Combined state of two independent systems: out[i*m + j] = a[i]*b[j]."""
-    return np.kron(as_state(a), as_state(b))
+    return _product(np.kron, as_state(a), as_state(b))

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (DEFAULT_TOL, as_count, as_state, as_tolerance, euclidean_norm,
-                      refuse_violations, rescaled, squared_moduli, stands, unit, validate)
+from .algebra import (DEFAULT_TOL, as_count, as_state, as_tolerance, refuse_violations, rescaled,
+                      squared_moduli, stands, unit, validate)
 
 _CHUNK = 1 << 20  # uniforms drawn per batch in sample_counts: 8 MiB, whatever the shot count
 
@@ -146,9 +146,9 @@ def is_product_state(state, dim_a: int, dim_b: int, tol: float = DEFAULT_TOL) ->
         raise ValueError(
             f"state of dimension {v.shape[0]} does not split as {dim_a} x {dim_b}"
         )
-    with np.errstate(over="ignore"):  # euclidean_norm rescales an overflowed norm
-        n = euclidean_norm(v)
-    if n == 0.0:
+    with np.errstate(over="ignore"):  # unit rescales a norm that over- or underflowed
+        n = float(np.linalg.norm(v))
+    if n == 0.0 and not np.any(v):
         raise ValueError("cannot test the zero vector")
     grid = unit(v, n).reshape(dim_a, dim_b)
     sigma = np.linalg.svd(grid, compute_uv=False)

@@ -1,4 +1,5 @@
 """Command-line interface: file parsing, output formats, exit codes."""
+import argparse
 import contextlib
 import io
 import json
@@ -688,3 +689,72 @@ def test_every_cli_run_exits_cleanly(tmp_path_factory, case):
     assert all(line.startswith("error: ") for line in err.getvalue().splitlines())
     if command[0] != "validate":  # a validation report may say a row sums to inf
         assert "nan" not in out.getvalue().lower() and "inf" not in out.getvalue().lower()
+
+
+def parser_flags():
+    """Each subcommand's own option strings but help, by name, and under "" every option string."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    def options(p):
+        return {flag for action in p._actions for flag in action.option_strings}
+
+    flags = {name: sorted(options(p) - {"-h", "--help"}) for name, p in commands.choices.items()}
+    return {**flags, "": sorted(options(parser).union(*map(options, commands.choices.values())))}
+
+
+FLAGS = parser_flags()
+CHOICES = sorted({*cli.REGIME_ALIASES, *SCENARIO_NAMES, "text", "json", "id", "not"})
+ODD_VALUES = ["0", "1", "3", "0.5", "1e-9", "-1", "-0.5", "1" + "0" * 30, "nan", "inf", "1_0", "٣",
+              ""]
+# a valid run of each subcommand, on the paths GRAPH and STATE
+VALID_ARGVS = {
+    "validate": ["validate", "GRAPH", "--regime", "quantum"],
+    "evolve": ["evolve", "GRAPH", "--state", "STATE"],
+    "scenario": ["scenario", SCENARIO_NAMES[0]],
+    "deutsch": ["deutsch", "--oracle", "id"],
+    "sample": ["sample", "GRAPH", "--state", "STATE", "--shots", "3"],
+}
+# random text has no path separator (so it names no real file) and no line break (stderr is
+# read by line)
+RANDOM_TEXT = st.text(
+    st.characters(exclude_categories=["Cc", "Cs", "Zl", "Zp"], exclude_characters="/\\"), max_size=8
+)
+
+
+@st.composite
+def argvs(draw):
+    """A valid run, a bare subcommand or nothing, then flags (mostly the subcommand's own) with
+    values, and at most one loose value.  Values are subcommand names, the parser's choices,
+    odd numbers, random text and the paths GRAPH and STATE."""
+    words = [*VALID_ARGVS, *CHOICES, "GRAPH", "STATE"]
+    value = st.sampled_from(ODD_VALUES) | st.sampled_from(words) | RANDOM_TEXT
+    command = draw(st.sampled_from(sorted(VALID_ARGVS)))
+    argv = draw(st.sampled_from([VALID_ARGVS[command], VALID_ARGVS[command], [command], []]))
+    flag = st.sampled_from(FLAGS[command]) | st.sampled_from(FLAGS[""])
+    for option in draw(st.lists(st.tuples(flag, value) | st.tuples(flag), max_size=3)):
+        argv = [*argv, *option]
+    return argv + draw(st.lists(value, max_size=1))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(argvs())
+def test_every_argv_exits_cleanly(tmp_path_factory, argv):
+    folder = tmp_path_factory.getbasetemp()
+    # the identity passes every regime's validation, and |0> is a state of every regime
+    paths = {"GRAPH": folder / "identity.graph", "STATE": folder / "zero.state"}
+    paths["GRAPH"].write_text("dim 2\n0 0 1\n1 1 1\n")
+    paths["STATE"].write_text("0 1\n")
+    argv = [str(paths.get(token, token)) for token in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+                assert code in (0, 1, 2)
+            except SystemExit as exc:
+                code = exc.code
+                assert code == 2 or (code == 0 and ("-h" in argv or "--help" in argv))
+    assert [str(w.message) for w in caught] == []
+    if code != 0:
+        assert "error: " in err.getvalue().splitlines()[-1]

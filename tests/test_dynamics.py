@@ -3,8 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ketsim.algebra import adjoint, as_state, mat_vec, norm, validate
+from ketsim.algebra import adjoint, as_state, bool_mat_mul, mat_vec, norm, normalize, validate
 from ketsim.dynamics import (
     RegimeSystem,
     _check_strict_state,
@@ -259,6 +260,18 @@ def test_sequential_deterministic_uses_boolean_paths():
     squared = compose_sequential(sys_, sys_)
     assert set(np.unique(squared.matrix)) <= {0, 1}
     assert validate(squared.matrix, "deterministic") == []
+
+
+def test_strict_deterministic_composition_equals_the_boolean_product():
+    # a 0/1 function matrix times another is one: the boolean and ordinary products agree
+    rng = np.random.default_rng(71)
+    for _ in range(50):
+        n = int(rng.integers(1, 7))
+        first = RegimeSystem("deterministic", random_function_graph(rng, n))
+        second = RegimeSystem("deterministic", np.eye(n, dtype=np.int64)[rng.permutation(n)])
+        for a, b in ((first, second), (second, first), (first, first)):
+            out, want = compose_sequential(a, b).matrix, bool_mat_mul(b.matrix, a.matrix)
+            assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
 
 
 def test_sequential_rejects_mismatches():
@@ -536,3 +549,191 @@ def test_strict_quantum_renormalises_at_any_scale(state, want):
 def test_strict_quantum_refuses_a_norm_beyond_the_float_range():
     with pytest.raises(ValueError, match="norm exceeds the float range"):
         evolve(RegimeSystem("quantum", np.eye(2)), [1.5e308, 1.5e308], 1)
+
+
+# --- one product rule: exact or refused, never wrapped or warned ----------------
+
+def unchecked(regime, m):
+    return RegimeSystem(regime, m, mode="unchecked")
+
+
+FIBONACCI = unchecked("deterministic", [[1, 1], [1, 0]])
+DOUBLING = unchecked("deterministic", [[2]])
+TWO_TO_62 = unchecked("deterministic", [[2**62]])
+HUGE = unchecked("stochastic", [[1e200]])
+
+
+@pytest.mark.parametrize(
+    "run, want",
+    [
+        (lambda: evolve(compose_sequential(FIBONACCI, FIBONACCI), [3, 5], 1), [11, 8]),
+        (lambda: compose_sequential(DOUBLING, DOUBLING).matrix, [[4]]),
+        (lambda: evolve(DOUBLING, [1], 62), [2**62]),
+        (lambda: evolve(DOUBLING, [1], 64), "int64"),
+        (lambda: compose_parallel(TWO_TO_62, unchecked("deterministic", [[4]])), "int64"),
+        (lambda: state_tensor([2**62], [4]), "int64"),
+        (lambda: state_tensor([1e200], [1e200]), "finite"),
+        (lambda: compose_sequential(HUGE, HUGE), "finite"),
+        (lambda: compose_parallel(HUGE, HUGE), "finite"),
+    ],
+    ids=["composed-clicks", "composed-weights", "2^62", "evolve-wrap", "parallel-wrap",
+         "tensor-wrap", "tensor-inf", "sequential-inf", "parallel-inf"],
+)
+def test_products_are_exact_or_refused_without_a_warning(run, want):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if isinstance(want, str):
+            with pytest.raises(ValueError, match=want):
+                run()
+        else:
+            out = run()
+            assert out.dtype == np.int64 and out.tolist() == want
+    assert [str(w.message) for w in caught] == []
+
+
+# edge values beside small ones, which are drawn more often so that some products stay in range
+BIG_INTEGERS = [2**31, -(2**31), 2**62, -(2**62), 2**63 - 1]
+EDGE_INTEGERS = st.sampled_from([0, 1, -1]) | st.sampled_from([0, 1, -1, *BIG_INTEGERS])
+COUNTS = st.sampled_from([0, 1, 2]) | st.sampled_from([2**31, 2**62])
+
+
+def unflowing_floats(low, high):
+    """Floats in [low, high] that are 0 or of magnitude 1e-50 and up: no product of three of them
+    underflows, which would leave it no relative error bound."""
+    return st.floats(low, high).filter(lambda v: v == 0 or abs(v) >= 1e-50)
+
+
+UNIT_FLOATS = unflowing_floats(-1, 1)
+EDGE_FLOATS = unflowing_floats(-4, 4) | UNIT_FLOATS | st.sampled_from([1e200, -1e200])
+REGIMES = ["deterministic", "stochastic", "quantum"]
+
+
+def drawn_array(draw, entries, *shape):
+    return np.array([draw(entries) for _ in range(int(np.prod(shape)))]).reshape(shape)
+
+
+def drawn_complex(draw, entries, *shape):
+    return drawn_array(draw, entries, *shape) + 1j * drawn_array(draw, entries, *shape)
+
+
+@st.composite
+def systems(draw, regime, n, may_be_strict=True):
+    """A strict permutation, Birkhoff mixture or QR unitary, or unchecked edge values."""
+    def permutation():
+        return np.eye(n, dtype=np.int64)[draw(st.permutations(range(n)))]
+
+    if may_be_strict and draw(st.booleans()):
+        if regime == "deterministic":
+            return RegimeSystem(regime, permutation())
+        if regime == "stochastic":
+            weights = draw(st.lists(st.floats(0.01, 1), min_size=1, max_size=3))
+            return RegimeSystem(regime, sum(w * permutation() for w in weights) / sum(weights))
+        return RegimeSystem(regime, np.linalg.qr(drawn_complex(draw, UNIT_FLOATS, n, n))[0])
+    if regime == "deterministic":
+        return unchecked(regime, drawn_array(draw, EDGE_INTEGERS, n, n))
+    if regime == "stochastic":
+        return unchecked(regime, drawn_array(draw, EDGE_FLOATS, n, n))
+    return unchecked(regime, drawn_complex(draw, EDGE_FLOATS, n, n))
+
+
+@st.composite
+def states(draw, regime, n, valid):
+    """Edge values, or (``valid``) a state every strict check passes through unchanged."""
+    if regime == "deterministic":
+        return drawn_array(draw, COUNTS if valid else EDGE_INTEGERS, n)
+    if not valid:
+        return (drawn_complex if regime == "quantum" else drawn_array)(draw, EDGE_FLOATS, n)
+    if regime == "stochastic":
+        w = drawn_array(draw, st.floats(0.01, 1), n)
+        return w / w.sum()
+    z = drawn_complex(draw, UNIT_FLOATS, n)
+    return normalize(z) if np.any(z) else np.eye(n)[0].astype(complex)
+
+
+def returned(run, *args):
+    """``run(*args)``, or None when it refuses with ValueError; a numpy warning fails the test."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = run(*args)
+        except ValueError:
+            out = None
+    assert [str(w.message) for w in caught] == []
+    return out
+
+
+def exact(a):
+    """``a`` as Python numbers, whose integer arithmetic neither wraps nor rounds."""
+    return np.asarray(a).astype(object)
+
+
+def assert_exact(out, want):
+    """An integer result equals the Python-int arithmetic ``want()``."""
+    if out is not None and out.dtype.kind in "iu":
+        assert out.tolist() == want().tolist()
+
+
+def magnitude(m, x):
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(m) @ np.abs(x)
+
+
+def assert_same_click(got, want, scale):
+    """Integers agree exactly; floats within 1e-12 of the forward-error scale |M| |x|, which
+    bounds the rounding of a sum however far it cancels."""
+    assert got.dtype == want.dtype
+    if got.dtype.kind in "iu":
+        assert got.tolist() == want.tolist()
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+@st.composite
+def composition_cases(draw, sequential):
+    regime = draw(st.sampled_from(REGIMES))
+    n_a = draw(st.integers(1, 4))
+    n_b = n_a if sequential else draw(st.integers(1, 4))
+    a = draw(systems(regime, n_a))
+    # a strict check after an unchecked click would renormalise what the composed system does not
+    b = draw(systems(regime, n_b, may_be_strict=not sequential or a.mode == "strict"))
+    valid = "strict" in (a.mode, b.mode)
+    return a, b, draw(states(regime, n_a, valid)), draw(states(regime, n_b, valid))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(composition_cases(sequential=True))
+def test_a_sequential_composition_clicks_like_its_parts(case):
+    a, b, x, _ = case
+    composed = returned(compose_sequential, a, b)
+    assert_exact(getattr(composed, "matrix", None), lambda: exact(b.matrix) @ exact(a.matrix))
+    lhs = None if composed is None else returned(evolve, composed, x, 1)
+    ax = returned(evolve, a, x, 1)
+    rhs = None if ax is None else returned(evolve, b, ax, 1)
+    assert_exact(ax, lambda: exact(a.matrix) @ exact(x))
+    for out in (lhs, rhs):
+        assert_exact(out, lambda: exact(b.matrix) @ (exact(a.matrix) @ exact(x)))
+    if lhs is not None and rhs is not None:
+        assert_same_click(lhs, rhs, magnitude(b.matrix, magnitude(a.matrix, x)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(composition_cases(sequential=False))
+def test_a_parallel_composition_clicks_like_its_parts(case):
+    a, b, x, y = case
+    composed = returned(compose_parallel, a, b)
+    assert_exact(getattr(composed, "matrix", None),
+                 lambda: np.kron(exact(a.matrix), exact(b.matrix)))
+    xy = returned(state_tensor, x, y)
+    assert_exact(xy, lambda: np.kron(exact(x), exact(y)))
+    lhs = None if composed is None or xy is None else returned(evolve, composed, xy, 1)
+    ax, by = returned(evolve, a, x, 1), returned(evolve, b, y, 1)
+    rhs = None if ax is None or by is None else returned(state_tensor, ax, by)
+    assert_exact(ax, lambda: exact(a.matrix) @ exact(x))
+    assert_exact(by, lambda: exact(b.matrix) @ exact(y))
+    for out in (lhs, rhs):
+        assert_exact(out, lambda: np.kron(exact(a.matrix) @ exact(x), exact(b.matrix) @ exact(y)))
+    if lhs is not None and rhs is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = np.kron(magnitude(a.matrix, x), magnitude(b.matrix, y))
+        assert_same_click(lhs, rhs, scale)

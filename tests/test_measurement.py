@@ -424,6 +424,12 @@ def test_product_test_at_any_scale():
     subnormal = is_product_state([1e-320j, 1e-320j, 1e-320j, 1e-320j], 2, 2)
     assert subnormal.is_product
     assert np.allclose(np.kron(subnormal.factor_a, subnormal.factor_b), [0.5j] * 4, rtol=0, atol=1e-15)
+    # a norm beyond the float range: the test needs only the unit grid
+    huge = is_product_state([1e308] * 4, 2, 2)
+    assert huge.is_product
+    assert np.allclose(huge.factor_a, [0.5, 0.5], rtol=0, atol=1e-15)
+    assert np.allclose(huge.factor_b, [1.0, 1.0], rtol=0, atol=1e-15)
+    assert not is_product_state([1e308, 1e308, 1e308, -1e308], 2, 2).is_product
 
 
 def test_sampling_a_subnormal_complex_state_matches_the_unit_scale():
