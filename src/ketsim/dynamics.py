@@ -8,11 +8,10 @@ A system is a square transition matrix tagged with one of three regimes:
 
 Strict systems verify the regime predicate at construction.  ``evolve``
 checks the state once on entry, sanity checks the strict click inputs
-that can be wrong, and refuses a result that is not finite.  Unchecked
-systems skip the regime checks, which lets the double-slit toy matrices
-(deliberately non-conforming: they drop the edges that would make them
-stochastic/unitary) run as-is.  Compositions, ``state_tensor`` and unchecked
-integer clicks multiply through ``_product``: exact or finite, or ValueError.
+that can be wrong, and refuses a result that is not finite.  Unchecked systems skip
+the regime checks, which lets the double-slit toy matrices (deliberately
+non-conforming: they drop the edges that would make them
+stochastic/unitary) run as-is.
 """
 from __future__ import annotations
 
@@ -53,7 +52,9 @@ class RegimeSystem:
 
     def __post_init__(self):
         if self.regime not in _DYNAMIC_REGIMES:
-            raise ValueError(f"unknown regime {self.regime!r}, expected one of {_DYNAMIC_REGIMES}")
+            raise ValueError(
+                f"unknown regime {self.regime!r}, expected one of {_DYNAMIC_REGIMES}"
+            )
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}, expected one of {MODES}")
         object.__setattr__(self, "tol", as_tolerance(self.tol))
@@ -105,21 +106,25 @@ def _check_strict_state(sys: RegimeSystem, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _left_bound(op, left: np.ndarray) -> float:
-    """B with |op(left, right)| <= B * max |right|: max |left| or max |left| row sum, rounded up."""
+def _limit(op, left: np.ndarray, dtype: np.dtype) -> float:
+    """L such that ``op(left, right)`` fits integer ``dtype`` whenever max |right| < L."""
     a = np.abs(left, dtype=np.float64)  # in float64: int64 holds no |-2**63|
-    # n * 2**-50 is 8n ulps: more than the n + 3 that the float64 sum and products can round down
-    return float((a if op is np.kron else a.sum(axis=1)).max()) * (1 + left.shape[-1] * 2.0**-50)
+    # n * 2**-50 is 8n ulps: more than the n + 4 that the float64 sum, products and quotient round
+    bound = float((a if op is np.kron else a.sum(axis=1)).max()) * (1 + left.shape[-1] * 2.0**-50)
+    return (np.iinfo(dtype).max + 1.0) / bound if bound else np.inf
 
 
-def _product(op, left, right, left_bound: float | None = None) -> np.ndarray:
-    """``op(left, right)`` for np.matmul or np.kron, exact and finite or ValueError, no warning."""
+def _product(op, left, right, limit: float | None = None) -> np.ndarray:
+    """``op(left, right)`` for np.matmul or np.kron: exact and finite, or ValueError, no warning."""
     dtype, noun = np.result_type(left, right), "state" if right.ndim == 1 else "matrix"
-    if dtype.kind in "iu":  # checked before the product, which would wrap silently
-        bound = _left_bound(op, left) if left_bound is None else left_bound
-        if bound * float(np.abs(right, dtype=np.float64).max()) >= np.iinfo(dtype).max + 1.0:
-            raise ValueError(f"{noun} entries might exceed what {dtype} holds")
-        return op(left, right)
+    if dtype.kind in "iu":  # an integer product would wrap silently
+        limit = _limit(op, left, dtype) if limit is None else limit
+        if float(np.abs(right, dtype=np.float64).max()) < limit:
+            return op(left, right)
+        out, info = op(left.astype(object), right.astype(object)), np.iinfo(dtype)  # in Python ints
+        if info.min <= out.min() and out.max() <= info.max:
+            return out.astype(dtype)
+        raise ValueError(f"{noun} entries exceed what {dtype} holds")
     with np.errstate(over="ignore", invalid="ignore"):  # a result that is not finite is refused
         out = op(left, right)
     if not np.all(np.isfinite(out)):
@@ -138,16 +143,16 @@ def evolve(sys: RegimeSystem, state, steps: int) -> np.ndarray:
     The state is checked once on entry.  A strict system checks each
     click's input, but a deterministic one only the first: its validated
     0/1 matrix keeps valid counts valid.  A result that is not finite, or
-    unchecked counts that int64 might not hold, raise ValueError, no warning.
+    unchecked counts that int64 does not hold, raise ValueError, no warning.
     """
     steps = as_count(steps, "steps")
     x = as_state(state)
     if x.shape[0] != sys.dim:
         raise ValueError(f"state has dimension {x.shape[0]}, system expects {sys.dim}")
-    if sys.mode == "unchecked" and np.result_type(sys.matrix, x).kind in "iu":
-        rows = _left_bound(np.matmul, sys.matrix)  # once per call: a click costs one max |x|
+    if sys.mode == "unchecked" and (dtype := np.result_type(sys.matrix, x)).kind in "iu":
+        limit = _limit(np.matmul, sys.matrix, dtype)  # once per call: a click costs one max |x|
         for _ in range(steps):
-            x = _product(np.matmul, sys.matrix, x, rows)
+            x = _product(np.matmul, sys.matrix, x, limit)
         return x.copy() if x is state else x
     checked_clicks = 0 if sys.mode != "strict" else 1 if sys.regime == "deterministic" else steps
     with np.errstate(over="ignore", invalid="ignore"):  # the finite check below reports it
@@ -163,9 +168,13 @@ def evolve(sys: RegimeSystem, state, steps: int) -> np.ndarray:
 def compose_sequential(first: RegimeSystem, second: RegimeSystem) -> RegimeSystem:
     """System performing ``first`` then ``second`` in one click: ``second @ first``, any regime."""
     if first.regime != second.regime:
-        raise ValueError(f"cannot compose {first.regime} system with {second.regime} system")
+        raise ValueError(
+            f"cannot compose {first.regime} system with {second.regime} system"
+        )
     if first.dim != second.dim:
-        raise ValueError(f"dimension mismatch: {first.dim} versus {second.dim}")
+        raise ValueError(
+            f"dimension mismatch: {first.dim} versus {second.dim}"
+        )
     m = _product(np.matmul, second.matrix, first.matrix)
     mode = "strict" if (first.mode == "strict" and second.mode == "strict") else "unchecked"
     return RegimeSystem(first.regime, m, mode=mode, tol=min(first.tol, second.tol))

@@ -561,6 +561,7 @@ FIBONACCI = unchecked("deterministic", [[1, 1], [1, 0]])
 DOUBLING = unchecked("deterministic", [[2]])
 TWO_TO_62 = unchecked("deterministic", [[2**62]])
 HUGE = unchecked("stochastic", [[1e200]])
+FOUR_INTO_ONE = [[1, 1, 1, 1], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]  # a 0/1 function graph
 
 
 @pytest.mark.parametrize(
@@ -569,6 +570,11 @@ HUGE = unchecked("stochastic", [[1e200]])
         (lambda: evolve(compose_sequential(FIBONACCI, FIBONACCI), [3, 5], 1), [11, 8]),
         (lambda: compose_sequential(DOUBLING, DOUBLING).matrix, [[4]]),
         (lambda: evolve(DOUBLING, [1], 62), [2**62]),
+        (lambda: evolve(unchecked("deterministic", [[1, 1], [0, 1]]), [2**62, 1], 1),
+         [2**62 + 1, 1]),
+        (lambda: evolve(unchecked("deterministic", FOUR_INTO_ONE), [2**61, 0, 0, 0], 1),
+         [2**61, 0, 0, 0]),
+        (lambda: state_tensor([-(2**63)], [1]), [-(2**63)]),
         (lambda: evolve(DOUBLING, [1], 64), "int64"),
         (lambda: compose_parallel(TWO_TO_62, unchecked("deterministic", [[4]])), "int64"),
         (lambda: state_tensor([2**62], [4]), "int64"),
@@ -576,8 +582,8 @@ HUGE = unchecked("stochastic", [[1e200]])
         (lambda: compose_sequential(HUGE, HUGE), "finite"),
         (lambda: compose_parallel(HUGE, HUGE), "finite"),
     ],
-    ids=["composed-clicks", "composed-weights", "2^62", "evolve-wrap", "parallel-wrap",
-         "tensor-wrap", "tensor-inf", "sequential-inf", "parallel-inf"],
+    ids=["composed-clicks", "composed-weights", "2^62", "near-int64", "four-into-one", "int64-min",
+         "evolve-wrap", "parallel-wrap", "tensor-wrap", "tensor-inf", "sequential-inf", "parallel-inf"],
 )
 def test_products_are_exact_or_refused_without_a_warning(run, want):
     with warnings.catch_warnings(record=True) as caught:
