@@ -18,6 +18,8 @@ _TINY, _MAX = float(np.finfo(float).tiny), float(np.finfo(float).max)
 
 REGIMES = ("deterministic", "stochastic", "quantum", "hermitian")
 
+NAMED_VIOLATIONS = 10  # a refusal names this many violations and counts the rest
+
 
 def _require_finite_numbers(a: np.ndarray, what: str) -> None:
     # bool, integer, float or complex; numpy stores a Python int beyond 64 bits as an object
@@ -234,9 +236,15 @@ def validate(m, regime: str, tol: float = DEFAULT_TOL) -> list[str]:
 
 
 def refuse_violations(violations: list[str], prefix: str) -> None:
-    """Raise ValueError(prefix + the violations joined by "; ") when there are any."""
+    """Raise ValueError(prefix + the violations joined by "; ") when there are any.
+
+    Past ``NAMED_VIOLATIONS`` the rest are counted, not named, so the message
+    stays short for a large matrix that breaks a rule everywhere.
+    """
     if violations:
-        raise ValueError(prefix + "; ".join(violations))
+        more = len(violations) - NAMED_VIOLATIONS
+        tail = [f"and {more} more"] if more > 0 else []
+        raise ValueError(prefix + "; ".join(violations[:NAMED_VIOLATIONS] + tail))
 
 
 def _validate_deterministic(m: np.ndarray) -> list[str]:

@@ -13,6 +13,7 @@ carries round-trip exact doubles.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -46,18 +47,22 @@ class ParseFailure(Exception):
 
 # ---------------------------------------------------------------- parsing
 
-def _content_lines(text: str):
-    """Yield (line_number, stripped_text) with comments and blanks removed.
+def _content_lines(text: str) -> list[tuple[int, str]]:
+    """(line_number, stripped_text) of each line, with comments and blanks removed.
 
     Outside comments a line must be ASCII without ``_``, because Python's
     ``int`` and ``float`` read other Unicode digits, and ``1_0`` as 10.
     """
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
+    lines = [
+        (lineno, line)
+        for lineno, raw in enumerate(text.splitlines(), start=1)
+        if (line := raw.partition("#")[0].strip())
+    ]
+    if not (text.isascii() and "_" not in text):  # only then can a line break the rule
+        for lineno, line in lines:
             if not line.isascii() or "_" in line:
                 raise ParseFailure(f"line {lineno}: expected ASCII text without `_`, got {line!a}")
-            yield lineno, line
+    return lines
 
 
 def _complex_value(fields: list[str], noun: str, lineno: int, line: str) -> complex:
@@ -76,9 +81,55 @@ def _real_if_possible(a: np.ndarray) -> np.ndarray:
     return a.real if np.all(a.imag == 0) else a
 
 
+def _read_entries(lines: list[tuple[int, str]], shape: tuple[int, ...], per_line) -> np.ndarray:
+    """The array that entry lines describe: read in bulk when every line is well formed.
+
+    Otherwise ``per_line(lines, dim)`` reads the lines again one at a time,
+    and it alone names the first bad line.
+    """
+    array = _bulk_entries(lines, shape)
+    return per_line(lines, shape[0]) if array is None else array
+
+
+def _bulk_entries(lines: list[tuple[int, str]], shape: tuple[int, ...]) -> np.ndarray | None:
+    """The array that well-formed entry lines describe, or None if any line is not well formed.
+
+    A line holds one index per axis, the last axis first (a graph's
+    ``<from> <to>`` is entry [to, from]), then ``<re> [<im>]``.  Indices and
+    parts are read by Python's ``int`` and ``float``, as the per-line loops
+    read them, and the array is real when every imaginary part is 0.
+    """
+    if not lines:
+        return np.zeros(shape)
+    k = len(shape)
+    rows = [line.split() for _, line in lines]
+    widths = set(map(len, rows))
+    if not widths <= {k + 1, k + 2}:
+        return None
+    if len(widths) == 2:  # a missing imaginary part is 0
+        rows = [row if len(row) == k + 2 else [*row, "0"] for row in rows]
+    columns, n = list(zip(*rows)), len(rows)
+    try:
+        index = np.ravel_multi_index(
+            [np.fromiter(map(int, c), np.intp, n) for c in columns[k - 1::-1]], shape
+        )
+        parts = [np.fromiter(map(float, c), np.float64, n) for c in columns[k:]]
+    except (ValueError, OverflowError):  # a bad number, or an index out of range or beyond intp
+        return None
+    ordered = np.sort(index)  # not np.unique, whose first call imports numpy.ma (about 1 MiB)
+    if (ordered[1:] == ordered[:-1]).any() or not np.isfinite(parts).all():
+        return None
+    out = np.zeros(shape, np.complex128 if parts[1:] and parts[1].any() else np.float64)
+    flat = out.reshape(-1)
+    flat.real[index] = parts[0]
+    if out.dtype.kind == "c":
+        flat.imag[index] = parts[1]
+    return out
+
+
 def parse_graph(text: str) -> np.ndarray:
     """Read an edge-list description into a dense matrix."""
-    lines = list(_content_lines(text))
+    lines = _content_lines(text)
     if not lines:
         raise ParseFailure("line 1: empty graph file, expected `dim <n>`")
     lineno, header = lines[0]
@@ -93,9 +144,14 @@ def parse_graph(text: str) -> np.ndarray:
         raise ParseFailure(f"line {lineno}: dimension must be positive, got {dim}")
     if dim > MAX_DIM:
         raise ParseFailure(f"line {lineno}: dimension {dim} exceeds the limit of {MAX_DIM}")
+    return _read_entries(lines[1:], (dim, dim), _edge_loop)
+
+
+def _edge_loop(lines: list[tuple[int, str]], dim: int) -> np.ndarray:
+    """Read edge lines one at a time: the error path, which names the first bad line."""
     m = np.zeros((dim, dim), dtype=np.complex128)
     seen: set[tuple[int, int]] = set()
-    for lineno, line in lines[1:]:
+    for lineno, line in lines:
         fields = line.split()
         if len(fields) not in (3, 4):
             raise ParseFailure(
@@ -116,7 +172,7 @@ def parse_graph(text: str) -> np.ndarray:
 
 def parse_state(text: str, dim: int) -> np.ndarray:
     """Read a state: a single bitstring, or sparse `<index> <re> [<im>]` lines."""
-    lines = list(_content_lines(text))
+    lines = _content_lines(text)
     if len(lines) == 1:
         token = lines[0][1]
         if " " not in token and set(token) <= {"0", "1"}:
@@ -126,6 +182,11 @@ def parse_state(text: str, dim: int) -> np.ndarray:
                     f"dimension {2 ** len(token)}, but the system has dimension {dim}"
                 )
             return ket_of_bits(token)
+    return _read_entries(lines, (dim,), _amplitude_loop)
+
+
+def _amplitude_loop(lines: list[tuple[int, str]], dim: int) -> np.ndarray:
+    """Read sparse amplitude lines one at a time: the error path, which names the first bad line."""
     v = np.zeros(dim, dtype=np.complex128)
     filled: set[int] = set()
     for lineno, line in lines:
@@ -343,7 +404,9 @@ def _tolerance(text: str) -> float:
         raise argparse.ArgumentTypeError(f"must be at least 0 and finite, got {text}") from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="ketsim",
         description="Evolve states over weighted digraphs in deterministic, "

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ketsim.algebra import (
+    NAMED_VIOLATIONS,
     adjoint,
     as_count,
     as_matrix,
@@ -18,6 +19,7 @@ from ketsim.algebra import (
     modulus_squared,
     norm,
     normalize,
+    refuse_violations,
     validate,
 )
 from ketsim.dynamics import RegimeSystem, evolve
@@ -500,3 +502,28 @@ def test_a_count_may_be_any_int():
     assert as_count(10**400, "n") == 10**400
     assert as_count(np.uint64(2**64 - 1), "n") == 2**64 - 1
     assert as_count(1e300, "n") == int(1e300)
+
+
+@pytest.mark.parametrize("count", [0, 1, 9, 10, 11, 25])
+def test_a_refusal_names_ten_violations_and_counts_the_rest(count):
+    violations = [f"violation {i}" for i in range(count)]
+    if count == 0:
+        assert refuse_violations(violations, "bad: ") is None
+        return
+    with pytest.raises(ValueError) as exc:
+        refuse_violations(violations, "bad: ")
+    if count <= NAMED_VIOLATIONS:  # as the whole list was always joined
+        assert str(exc.value) == "bad: " + "; ".join(violations)
+    else:
+        assert str(exc.value) == "bad: " + "; ".join(violations[:10]) + f"; and {count - 10} more"
+    assert len(violations) == count  # the caller's list is left as it was
+
+
+def test_a_matrix_that_breaks_a_rule_everywhere_gets_a_short_refusal():
+    m = np.full((1000, 1000), 2.0)
+    with pytest.raises(ValueError) as exc:
+        RegimeSystem("stochastic", m)
+    message = str(exc.value)
+    assert len(message) < 2000
+    assert message.startswith("matrix fails stochastic validation: entry [0,0] = 2.0 lies outside")
+    assert message.endswith(f"; and {1000 * 1000 + 2000 - 10} more")

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -16,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from ketsim import cli
 from ketsim.cli import (MAX_CLICK_WORK, MAX_SHOTS, ParseFailure, fmt_number, fmt_real, main,
                         parse_graph, parse_state)
+from ketsim.algebra import validate
 from ketsim.dynamics import RegimeSystem, evolve
 from ketsim.experiments import BULLET_MATRIX, SCENARIO_NAMES, STOCHASTIC_MATRIX
 from ketsim.gates import standard_gate
@@ -201,6 +203,15 @@ def test_validate_reports_violations_and_exits_one(tmp_path, capsys):
     assert "row 0" in out
     # every column of this wall sums to one, so no column lines appear
     assert "column" not in out
+
+
+def test_validate_reports_every_violation_one_per_line(tmp_path, capsys):
+    path = tmp_path / "twos.graph"
+    path.write_text(graph_text(np.full((4, 4), 2.0)))
+    code, out, err = run(capsys, "validate", str(path), "--regime", "stoch")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == validate(np.full((4, 4), 2.0), "stochastic")
+    assert len(out.splitlines()) == 16 + 4 + 4  # past the ten that a refusal names
 
 
 def test_validate_hermitian_regime(tmp_path, capsys):
@@ -630,6 +641,85 @@ def test_a_deterministic_weight_beyond_int64_is_stored_as_a_float(tmp_path, caps
         1, "", "error: matrix fails deterministic validation: entry [0,0] = 1e+300 is not 0 or 1\n"
     )
     assert run(capsys, *argv, "--unchecked") == (0, "dim 2\n0 1e+300\n1 0\n", "")
+
+
+# ------------------------------------------------------ the cached parser
+
+HELP_DIR = GOLDEN_DIR / "help"
+HELP_ARGVS = {"ketsim": [], **{name: [name] for name in ("validate", "evolve", "scenario",
+                                                           "deutsch", "sample")}}
+# the help and usage goldens hold argparse's wording under Python 3.10 and 3.11
+ARGPARSE_WORDING = pytest.mark.skipif(sys.version_info >= (3, 12),
+                                      reason="argparse words help and errors differently from 3.12")
+
+
+def usage_error_cases():
+    """(argv, exit code, stderr) of each transcript in usage_errors.txt."""
+    text = (HELP_DIR / "usage_errors.txt").read_text(encoding="utf-8")
+    cases = []
+    for block in text.split("$ ketsim ")[1:]:
+        command, status, err = block.split("\n", 2)
+        cases.append((shlex.split(command), int(status.strip("[exit ]")), err))
+    return cases
+
+
+def test_the_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+@ARGPARSE_WORDING
+@pytest.mark.parametrize("name", HELP_ARGVS)
+def test_help_matches_golden(name, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help at the terminal width
+    for _ in range(2):  # the first call may build the parser, the second reuses it
+        with pytest.raises(SystemExit) as exc:
+            main([*HELP_ARGVS[name], "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr() == ((HELP_DIR / f"{name}.txt").read_text(encoding="utf-8"), "")
+
+
+@ARGPARSE_WORDING
+@pytest.mark.parametrize("argv, code, err", usage_error_cases(), ids=lambda v: " ".join(v)
+                         if isinstance(v, list) else None)
+def test_usage_errors_match_golden(argv, code, err, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+        assert capsys.readouterr() == ("", err)
+
+
+def test_flags_of_one_call_do_not_carry_into_the_next(tmp_path, capsys):
+    graph = tmp_path / "stoch.graph"
+    graph.write_text(graph_text(STOCHASTIC_MATRIX))
+    plain = ["evolve", str(graph), "--state", "0 1", "--regime", "stoch"]
+    first = run(capsys, *plain)
+    assert first[0] == 0 and first[1].startswith("dim 3\n") and "probabilities" not in first[1]
+    flagged = run(capsys, *plain, "--probabilities", "--unchecked", "--format", "json")
+    assert flagged[0] == 0 and json.loads(flagged[1])["probabilities"] is not None
+    assert run(capsys, *plain) == first
+    args = cli.build_parser().parse_args(plain)
+    assert (args.probabilities, args.unchecked, args.format) == (False, False, "text")
+
+
+def test_unchecked_on_one_call_does_not_carry_into_the_next(tmp_path, capsys):
+    graph = tmp_path / "wall.graph"
+    graph.write_text(graph_text(BULLET_MATRIX))
+    argv = ["evolve", str(graph), "--state", "000", "--regime", "stoch"]
+    assert run(capsys, *argv, "--unchecked")[0] == 0
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: matrix fails stochastic validation: ")
+
+
+def test_a_usage_error_leaves_the_next_call_untouched(capsys):
+    golden = (GOLDEN_DIR / "deutsch_id.txt").read_text()
+    with pytest.raises(SystemExit) as exc:
+        main(["deutsch", "--oracle", "maybe", "--format", "json"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, "deutsch", "--oracle", "id") == (0, golden, "")
 
 
 # ---------------------------------------------------------------- fuzzing
