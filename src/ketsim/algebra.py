@@ -204,11 +204,14 @@ def normalize(v) -> np.ndarray:
     return unit(v, n)
 
 
-def validate(m, regime: str, tol: float = DEFAULT_TOL) -> list[str]:
+def validate(m, regime: str, tol: float = DEFAULT_TOL, *, limit: int | None = None) -> list[str]:
     """Check a square matrix against a regime predicate within a finite ``tol`` >= 0.
 
     Returns a list of human-readable violations; an empty list means the
-    matrix passes.  Regimes:
+    matrix passes.  With a ``limit``, only the first ``limit`` violations
+    are formatted and one last entry counts the rest (``and N more``), so
+    a refusal of a large matrix costs array work, not a string for each
+    violation.  Regimes:
 
     - ``deterministic``: entries in {0, 1} with exactly one 1 per column
       (every vertex has exactly one outgoing edge);
@@ -221,15 +224,16 @@ def validate(m, regime: str, tol: float = DEFAULT_TOL) -> list[str]:
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}, expected one of {REGIMES}")
     tol = as_tolerance(tol)
+    limit = None if limit is None else as_count(limit, "limit")
     if m.shape[0] != m.shape[1]:
         raise ValueError(
             f"{regime} validation requires a square matrix, got {m.shape[0]}x{m.shape[1]}"
         )
     if regime == "deterministic":
-        return _validate_deterministic(m)
+        return _validate_deterministic(m, limit)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed deviation reads inf: refused
         if regime == "stochastic":
-            return _validate_stochastic(m, tol)
+            return _validate_stochastic(m, tol, limit)
         if regime == "quantum":
             return _validate_quantum(m, tol)
         return _validate_hermitian(m, tol)
@@ -242,39 +246,52 @@ def refuse_violations(violations: list[str], prefix: str) -> None:
     stays short for a large matrix that breaks a rule everywhere.
     """
     if violations:
-        more = len(violations) - NAMED_VIOLATIONS
-        tail = [f"and {more} more"] if more > 0 else []
-        raise ValueError(prefix + "; ".join(violations[:NAMED_VIOLATIONS] + tail))
+        raise ValueError(prefix + "; ".join(_counted(violations[:NAMED_VIOLATIONS], len(violations))))
 
 
-def _validate_deterministic(m: np.ndarray) -> list[str]:
-    violations = [f"entry [{i},{j}] = {m[i, j]} is not 0 or 1" for i, j in _non_boolean_entries(m)]
-    if violations:
-        return violations
-    ones_per_column = (m == 1).sum(axis=0)
-    for j, count in enumerate(ones_per_column):
-        if count != 1:
-            violations.append(f"column {j} has {count} ones, expected exactly 1")
-    return violations
+def _counted(named: list[str], total: int) -> list[str]:
+    """``named``, then one entry counting the ``total - len(named)`` violations it leaves out."""
+    more = total - len(named)
+    return named + [f"and {more} more"] if more > 0 else named
 
 
-def _validate_stochastic(m: np.ndarray, tol: float) -> list[str]:
-    violations = []
+def _listed(groups, limit: int | None) -> list[str]:
+    """Violations from ``(where, say)`` groups in order, naming at most ``limit`` and counting the rest.
+
+    ``where`` holds a violation's indices in each row (from ``np.argwhere``)
+    and ``say`` formats one of them; only the named ones are formatted.
+    """
+    named, total = [], 0
+    for where, say in groups:
+        total += len(where)
+        room = len(where) if limit is None else max(limit - len(named), 0)
+        named += [say(*index) for index in where[:room]]
+    return _counted(named, total)
+
+
+def _validate_deterministic(m: np.ndarray, limit: int | None) -> list[str]:
+    bad = _non_boolean_entries(m)
+    if bad.size:
+        return _listed([(bad, lambda i, j: f"entry [{i},{j}] = {m[i, j]} is not 0 or 1")], limit)
+    ones = (m == 1).sum(axis=0)
+    return _listed([(np.argwhere(ones != 1),
+                     lambda j: f"column {j} has {ones[j]} ones, expected exactly 1")], limit)
+
+
+def _validate_stochastic(m: np.ndarray, tol: float, limit: int | None) -> list[str]:
     if np.iscomplexobj(m):
-        for i, j in zip(*np.nonzero(np.abs(m.imag) > tol)):
-            violations.append(f"entry [{i},{j}] = {m[i, j]} is not real")
-        if violations:
-            return violations
+        unreal = np.argwhere(np.abs(m.imag) > tol)
+        if unreal.size:
+            return _listed([(unreal, lambda i, j: f"entry [{i},{j}] = {m[i, j]} is not real")], limit)
     re = m.real.astype(float)
-    for i, j in zip(*np.nonzero((re < -tol) | (re > 1 + tol))):
-        violations.append(f"entry [{i},{j}] = {re[i, j]} lies outside [0, 1]")
-    for i, s in enumerate(re.sum(axis=1)):
-        if abs(s - 1) > tol:
-            violations.append(f"row {i} sums to {s}, expected 1")
-    for j, s in enumerate(re.sum(axis=0)):
-        if abs(s - 1) > tol:
-            violations.append(f"column {j} sums to {s}, expected 1")
-    return violations
+    rows, columns = re.sum(axis=1), re.sum(axis=0)
+    return _listed([
+        (np.argwhere((re < -tol) | (re > 1 + tol)),
+         lambda i, j: f"entry [{i},{j}] = {re[i, j]} lies outside [0, 1]"),
+        (np.argwhere(np.abs(rows - 1) > tol), lambda i: f"row {i} sums to {rows[i]}, expected 1"),
+        (np.argwhere(np.abs(columns - 1) > tol),
+         lambda j: f"column {j} sums to {columns[j]}, expected 1"),
+    ], limit)
 
 
 def _max_abs_entry(d: np.ndarray) -> tuple[float, int, int]:
@@ -283,9 +300,13 @@ def _max_abs_entry(d: np.ndarray) -> tuple[float, int, int]:
     return float(flat[i, j]), int(i), int(j)
 
 
+def _unitary_deviation(m: np.ndarray) -> tuple[float, int, int]:
+    """max |(m† m - I)[i, j]|, computed, and where it lies."""
+    return _max_abs_entry(m.conj().T @ m - np.eye(m.shape[0]))
+
+
 def _validate_quantum(m: np.ndarray, tol: float) -> list[str]:
-    d = m.conj().T @ m - np.eye(m.shape[0])
-    dev, i, j = _max_abs_entry(d)
+    dev, i, j = _unitary_deviation(m)
     if dev > tol:
         return [f"not unitary: adjoint product deviates from identity by {dev:.6g} at entry [{i},{j}]"]
     return []

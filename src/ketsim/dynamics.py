@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (DEFAULT_TOL, as_count, as_matrix, as_state, as_tolerance, euclidean_norm,
-                      refuse_violations, unit, validate)
+from .algebra import (DEFAULT_TOL, NAMED_VIOLATIONS, as_count, as_matrix, as_state, as_tolerance,
+                      euclidean_norm, unit, validate)
 
 MODES = ("strict", "unchecked")
 
@@ -62,9 +62,10 @@ class RegimeSystem:
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"system matrix must be square, got {m.shape[0]}x{m.shape[1]}")
         m = _coerce_regime_matrix(m, self.regime)  # a new array: never the caller's
-        if self.mode == "strict":
-            violations = validate(m, self.regime, self.tol)
-            refuse_violations(violations, f"matrix fails {self.regime} validation: ")
+        if self.mode == "strict":  # validate counts what it does not name, so no refusal formats them all
+            violations = validate(m, self.regime, self.tol, limit=NAMED_VIOLATIONS)
+            if violations:
+                raise ValueError(f"matrix fails {self.regime} validation: " + "; ".join(violations))
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 

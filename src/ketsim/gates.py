@@ -11,13 +11,17 @@ product with the top gate as the outer factor.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .algebra import (DEFAULT_TOL, as_count, as_matrix, as_state, is_deterministic,
-                      refuse_violations, validate)
+from .algebra import (DEFAULT_TOL, _unitary_deviation, as_count, as_matrix, as_state,
+                      is_deterministic, refuse_violations, validate)
+
+_EPS = float(np.finfo(float).eps)  # 2**-52, twice the unit roundoff of float64
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,10 +46,100 @@ class Gate:
                 f"needs a {want[0]}x{want[1]} matrix, got {m.shape[0]}x{m.shape[1]}"
             )
         if self.quantum:
-            violations = validate(m, "quantum", DEFAULT_TOL)
-            refuse_violations(violations, f"gate {self.name!r} flagged quantum but ")
+            _check_unitary(self.name, m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+
+    # Facts about the read-only matrix, each worked out once, when first asked for.
+
+    @cached_property
+    def _deterministic(self) -> bool:
+        return is_deterministic(self.matrix)
+
+    @cached_property
+    def _identity(self) -> bool:
+        """Exactly the real identity, so contracting it changes no value (only the sign of a zero)."""
+        m = self.matrix
+        return m.dtype == np.float64 and np.array_equal(m, np.eye(m.shape[1]))
+
+    @cached_property
+    def _bound(self) -> float:
+        """An upper bound on ||M† M - I||_2: 0 for a permutation, inf unless quantum.
+
+        Set when a product is built from its parts (``_from_checked``).  A
+        gate checked on its own has passed ``validate``, whose computed
+        deviation ``dev`` is max |(M† M - I)[i, j]| up to the rounding of
+        M† M: each entry is a sum of N = 2^in_bits products, so it errs by
+        at most 2·N·eps·(1 + the true deviation) (``_product_bound``).  With
+        ``dev`` <= DEFAULT_TOL that puts every true entry within
+        ``dev + 3·N·eps``, and a matrix's 2-norm is at most N times its
+        largest entry.  A permutation's M† M is exact.
+        """
+        if not self.quantum:
+            return math.inf
+        if self._deterministic:
+            return 0.0
+        n = self.matrix.shape[0]
+        return n * (_unitary_deviation(self.matrix)[0] + 3 * n * _EPS)
+
+
+def _check_unitary(name: str, m: np.ndarray) -> None:
+    refuse_violations(validate(m, "quantum", DEFAULT_TOL), f"gate {name!r} flagged quantum but ")
+
+
+def _grown(a: float, b: float) -> float:
+    """(1 + a)(1 + b) - 1 for a, b >= 0, without rounding 1 + a."""
+    return a + b + a * b
+
+
+def _product_bound(a: float, b: float, dot: int, columns: int) -> float:
+    """A bound on ||P† P - I||_2 for the computed product P of parts bounded by ``a`` and ``b``.
+
+    P is X @ Y, with ``dot`` terms in each entry's sum and ``columns``
+    columns, or X ⊗ Y (``dot`` = 1).  Exactly, (XY)†(XY) - I =
+    Y†(X†X - I)Y + (Y†Y - I) and (X⊗Y)†(X⊗Y) - I = X†X ⊗ Y†Y - I, so
+    either deviates from I by at most (1 + a)(1 + b) - 1.
+
+    Rounding: a computed sum of ``dot`` complex products errs by at most
+    (dot + 2)·eps/2 <= 2·dot·eps times the sum of their moduli (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., sections
+    3.1 and 3.6), in any order of summation and with or without fused
+    multiply-add.  So the error F is at most 2·dot·eps·|X||Y| entrywise
+    (|X| ⊗ |Y| for a Kronecker product).  A matrix A with c columns has
+    || |A| ||_2 <= ||A||_F <= sqrt(c)·||A||_2; X has ``dot`` columns and Y
+    ``columns`` (for X ⊗ Y, their column counts multiply to ``columns``).
+    So ||F||_2 <= phi·||X||_2·||Y||_2 with phi = 2·dot·sqrt(dot·columns)·eps,
+    and the computed P + F deviates from I by at most
+    (1 + a)(1 + b)(1 + phi)^2 - 1.  In a circuit, X = I ⊗ G ⊗ I for a
+    k-wire gate G, and |X| = I ⊗ |G| ⊗ I has the norm of |G|, so dot = 2^k
+    and columns = 2^wires: a few times 4^k·sqrt(2^wires)·eps per gate placed.
+
+    Every term is non-negative, so the float rounding of this bound is
+    relative and far inside the slack of 2·dot·eps.  The rounding term is
+    folded in first, so an inf bound never meets a 0 (inf·0 is nan).
+    """
+    phi = 2 * dot * math.sqrt(dot * columns) * _EPS
+    return _grown(_grown(a, phi * (2 + phi)), b)
+
+
+def _from_checked(name: str, m: np.ndarray, in_bits: int, out_bits: int, quantum: bool,
+                  bound: float) -> Gate:
+    """A gate whose matrix ``m`` is a new product of checked gates, kept without a copy.
+
+    A quantum product whose ``bound`` (``_product_bound``) is within
+    DEFAULT_TOL passes ``validate``, so it is not checked again; past it,
+    it is checked as any new gate is.  Any product is checked to be finite,
+    as ``Gate`` checks it, since finite parts can multiply past the float range.
+    """
+    if not quantum:
+        as_matrix(m)
+    elif bound > DEFAULT_TOL:
+        _check_unitary(name, m)
+    m.setflags(write=False)
+    g = object.__new__(Gate)  # the fields Gate.__post_init__ would set, and the bound
+    vars(g).update(name=name, matrix=m, in_bits=in_bits, out_bits=out_bits, quantum=quantum,
+                   _bound=bound if quantum else math.inf)
+    return g
 
 
 def ket_of_bits(bits: str) -> np.ndarray:
@@ -114,23 +208,26 @@ def sequential(first: Gate, second: Gate) -> Gate:
             f"cannot run {second.name!r} ({second.in_bits} wires in) after "
             f"{first.name!r} ({first.out_bits} wires out)"
         )
-    return Gate(
+    return _from_checked(
         f"{first.name}>{second.name}",
         second.matrix @ first.matrix,
         first.in_bits,
         second.out_bits,
-        quantum=first.quantum and second.quantum,
+        first.quantum and second.quantum,
+        _product_bound(second._bound, first._bound, 2**second.in_bits, 2**first.in_bits),
     )
 
 
 def parallel(top: Gate, bottom: Gate) -> Gate:
     """Gate acting as ``top`` on the upper wires and ``bottom`` on the lower."""
-    return Gate(
+    in_bits = top.in_bits + bottom.in_bits
+    return _from_checked(
         f"{top.name}|{bottom.name}",
         np.kron(top.matrix, bottom.matrix),
-        top.in_bits + bottom.in_bits,
+        in_bits,
         top.out_bits + bottom.out_bits,
-        quantum=top.quantum and bottom.quantum,
+        top.quantum and bottom.quantum,
+        _product_bound(top._bound, bottom._bound, 1, 2**in_bits),
     )
 
 
@@ -173,7 +270,7 @@ class Circuit:
                 )
             width = sum(g.out_bits for g in layer)
         gates = [g for layer in layers for g in layer]
-        quantum_only = [g for g in gates if g.quantum and not is_deterministic(g.matrix)]
+        quantum_only = [g for g in gates if g.quantum and not g._deterministic]
         irreversible = [g for g in gates if not g.quantum]
         if quantum_only and irreversible:
             raise ValueError(
@@ -198,17 +295,28 @@ def circuit_matrix(c: Circuit) -> Gate:
     are pushed through one gate at a time, viewing the block as
     (2^above, 2^in, 2^below * columns) and contracting the gate's wires
     with one batched matmul, O(4^n * 2^k) per k-wire gate instead of
-    O(8^n) per layer.  Only the finished gate is validated.
+    O(8^n) per layer.  A gate whose matrix is exactly the identity is
+    skipped.
+
+    Each gate was checked when it was built, so the result is not
+    validated again while it is sure to pass: every quantum gate carries
+    an upper bound on ||M† M - I||_2, and the bounds of the gates placed,
+    with an allowance for the rounding of each contraction, add up to a
+    bound on the result.  A quantum result whose bound exceeds
+    DEFAULT_TOL is validated as any new gate is, and refused with the
+    same message.
     """
     total = np.eye(2**c.wires)
     name = _identity_name(c.wires)
-    quantum = True
+    quantum, bound = True, 0.0
     for layer in filter(None, c.layers):  # only a zero-wire circuit has empty layers
         above = 0  # output wires of the gates already applied in this layer
         for g in layer:
-            block = total.reshape(2**above, 2**g.in_bits, -1)
-            total = np.matmul(g.matrix, block).reshape(-1, 2**c.wires)
+            if not g._identity:
+                block = total.reshape(2**above, 2**g.in_bits, -1)
+                total = np.matmul(g.matrix, block).reshape(-1, 2**c.wires)
+                bound = _product_bound(g._bound, bound, 2**g.in_bits, 2**c.wires)
             above += g.out_bits
         name += ">" + "|".join(g.name for g in layer)
         quantum = quantum and all(g.quantum for g in layer)
-    return Gate(name, total, c.wires, c.out_wires, quantum)
+    return _from_checked(name, total, c.wires, c.out_wires, quantum, bound)

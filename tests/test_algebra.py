@@ -1,4 +1,5 @@
 """Core linear algebra against naive reference implementations."""
+import time
 import warnings
 
 import numpy as np
@@ -521,9 +522,42 @@ def test_a_refusal_names_ten_violations_and_counts_the_rest(count):
 
 def test_a_matrix_that_breaks_a_rule_everywhere_gets_a_short_refusal():
     m = np.full((1000, 1000), 2.0)
+    start = time.perf_counter()
     with pytest.raises(ValueError) as exc:
         RegimeSystem("stochastic", m)
+    elapsed = time.perf_counter() - start
     message = str(exc.value)
     assert len(message) < 2000
     assert message.startswith("matrix fails stochastic validation: entry [0,0] = 2.0 lies outside")
     assert message.endswith(f"; and {1000 * 1000 + 2000 - 10} more")
+    named = "; ".join(f"entry [0,{j}] = 2.0 lies outside [0, 1]" for j in range(10))
+    assert message == f"matrix fails stochastic validation: {named}; and 1001990 more"
+    assert elapsed < 1.0  # only ten of the 1,002,000 violations are formatted (2.3 s for all)
+
+
+def _violating_matrix(rng, regime, dim):
+    """A dim x dim matrix breaking ``regime`` in a random number of places, or in none."""
+    if regime == "deterministic":
+        m = np.eye(dim)[:, rng.integers(dim, size=dim)]  # columns may repeat: rows then miss a 1
+        return np.where(rng.random((dim, dim)) < rng.random() / 4, 2.0, m)
+    m = np.eye(dim)[rng.permutation(dim)] * (1 + 0.5j * (rng.random() < 0.2))
+    return np.where(rng.random((dim, dim)) < rng.random() / 4, rng.normal(size=(dim, dim)), m)
+
+
+@pytest.mark.parametrize("regime", ["deterministic", "stochastic"])
+def test_a_limited_validate_names_the_first_violations_and_counts_the_rest(regime):
+    rng = np.random.default_rng(113)
+    for _ in range(60):
+        m = _violating_matrix(rng, regime, int(rng.integers(1, 12)))
+        everything = validate(m, regime)
+        for limit in (0, 1, NAMED_VIOLATIONS, 200):
+            more = len(everything) - limit
+            tail = [f"and {more} more"] if more > 0 else []
+            assert validate(m, regime, limit=limit) == everything[:limit] + tail
+        if everything and not np.iscomplexobj(m):  # a complex matrix is refused before validation
+            with pytest.raises(ValueError) as exc:
+                RegimeSystem(regime, m)
+            stored = RegimeSystem(regime, m, mode="unchecked").matrix  # as the strict check sees it
+            with pytest.raises(ValueError) as listed:
+                refuse_violations(validate(stored, regime), f"matrix fails {regime} validation: ")
+            assert str(exc.value) == str(listed.value)

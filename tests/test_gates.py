@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ketsim.algebra import kron, mat_mul
+import ketsim.gates
+from ketsim.algebra import DEFAULT_TOL, kron, mat_mul, validate
 from ketsim.gates import (
     Circuit,
     Gate,
@@ -382,3 +383,110 @@ def test_circuit_matrix_skips_empty_layers_on_zero_wires():
     got = circuit_matrix(c)
     assert got.name == reference_circuit_matrix(c).name == "I(0)"
     assert np.array_equal(got.matrix, np.eye(1))
+
+
+# --- a product of checked gates is not checked again ----------------------------------
+
+def assert_within_bound(g):
+    """A quantum gate passes validate and its recorded bound covers its measured deviation."""
+    if not g.quantum:
+        assert g._bound == np.inf
+        return
+    m = g.matrix
+    assert validate(m, "quantum") == []
+    assert g._bound >= np.linalg.norm(m.conj().T @ m - np.eye(len(m)), 2)
+
+
+def random_chain(rng, kind):
+    """A gate built by up to six random ``sequential``/``parallel`` steps, at most 8 wires wide."""
+    names = QUANTUM_GATES if kind == "quantum" else CLASSICAL_GATES
+    g = reduce(parallel, random_layer(rng, int(rng.integers(1, 4)), names))
+    for _ in range(int(rng.integers(1, 7))):
+        if rng.random() < 0.5 and g.in_bits < 8:
+            part = reduce(parallel, random_layer(rng, int(rng.integers(1, 9 - g.in_bits)), names))
+            g = parallel(g, part) if rng.random() < 0.5 else parallel(part, g)
+        else:
+            g = sequential(g, reduce(parallel, random_layer(rng, g.out_bits, names)))
+    return g
+
+
+@pytest.mark.parametrize("kind", ["quantum", "classical", "empty"])
+def test_circuit_results_stay_within_their_recorded_bound(kind):
+    rng = np.random.default_rng({"quantum": 127, "classical": 131, "empty": 137}[kind])
+    for _ in range(40):
+        c = random_circuit(rng, kind)
+        assert_within_bound(circuit_matrix(c))
+        assert_within_bound(reference_circuit_matrix(c))
+
+
+@pytest.mark.parametrize("kind", ["quantum", "classical"])
+def test_sequential_and_parallel_chains_stay_within_their_recorded_bound(kind):
+    rng = np.random.default_rng({"quantum": 139, "classical": 149}[kind])
+    for _ in range(60):
+        assert_within_bound(random_chain(rng, kind))
+
+
+def counting_validate(monkeypatch):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return validate(*args, **kwargs)
+
+    monkeypatch.setattr(ketsim.gates, "validate", spy)
+    return calls
+
+
+def test_a_deep_circuit_is_not_validated_and_stays_unitary(monkeypatch):
+    rng = np.random.default_rng(151)
+    c = Circuit(6, [random_layer(rng, 6, ("H", "NOT", "I", "CNOT")) for _ in range(2500)])
+    calls = counting_validate(monkeypatch)
+    got = circuit_matrix(c)
+    assert calls == []
+    assert got._bound <= DEFAULT_TOL
+    assert_within_bound(got)
+
+
+def rotation(scale, name="U"):
+    t = 0.3
+    return Gate(name, np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]) * scale, 1, 1, quantum=True)
+
+
+def test_a_product_past_the_tolerance_is_still_refused():
+    u = rotation(1 + 4e-10)  # deviates by 8e-10: passes on its own
+    message = ("flagged quantum but not unitary: adjoint product deviates from identity by {} "
+               "at entry [0,0]")
+    for build, name, dev in (
+        (lambda: circuit_matrix(Circuit(1, [[u], [u], [u]])), "I>U>U>U", "2.4e-09"),
+        (lambda: sequential(u, u), "U>U", "1.6e-09"),
+        (lambda: parallel(u, u), "U|U", "1.6e-09"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == f"gate {name!r} " + message.format(dev)
+
+
+def test_a_product_past_its_bound_is_validated_and_kept_when_it_passes(monkeypatch):
+    u = rotation(1 + 1e-10)  # three deviate by 6e-10, but their summed bound exceeds 1e-9
+    calls = counting_validate(monkeypatch)
+    got = circuit_matrix(Circuit(1, [[u], [u], [u]]))
+    assert len(calls) == 1 and got._bound > DEFAULT_TOL
+    assert np.max(np.abs(got.matrix - u.matrix @ u.matrix @ u.matrix)) <= 1e-15
+
+
+def test_identity_gates_are_told_by_their_matrix_not_their_name():
+    not_named_i = Gate("I", standard_gate("NOT").matrix, 1, 1, quantum=True)
+    assert np.array_equal(circuit_matrix(Circuit(1, [[not_named_i]])).matrix, [[0, 1], [1, 0]])
+    plain = Gate("P", np.eye(2), 1, 1, quantum=True)
+    assert plain._identity and not not_named_i._identity
+    # a complex identity is contracted, so the result stays complex as before
+    complex_i = Gate("J", np.eye(2, dtype=complex), 1, 1, quantum=True)
+    assert circuit_matrix(Circuit(2, [[complex_i, plain]])).matrix.dtype == np.complex128
+
+
+def test_the_deterministic_flag_is_read_from_the_matrix():
+    z = Gate("Z", np.diag([1.0, -1.0]), 1, 1, quantum=True)
+    zz = sequential(z, z)  # exactly the identity, though its parts are not 0/1
+    Circuit(3, [[zz, standard_gate("AND")]])
+    with pytest.raises(ValueError, match="mix"):
+        Circuit(3, [[z, standard_gate("AND")]])
