@@ -36,8 +36,9 @@ _EVOLVE_REGIMES = tuple(k for k in sorted(REGIME_ALIASES) if k != "hermitian")
 
 MAX_DIM = 4096  # a dense complex matrix costs 16 * dim**2 bytes: 256 MiB at this limit
 MAX_SHOTS = 1 << 30  # sample_counts draws about 16M shots/s at dim 32: a minute at this limit
-# --steps * max(dim**2, 128**2) matrix entries: a strict click costs 2-21 us below dim 128 and
-# 0.3-1.5 ns per entry from dim 128 to 2048 (2-core x86-64 VM), so at most about a minute
+# --steps * max(dim**2, 128**2) matrix entries: a click costs 2-7 us below dim 128 and 0.2-1.8 ns
+# per entry from dim 128 to 2048, the most in an unchecked deterministic run's int64 product (a
+# strict deterministic run is O(dim * log steps)); 2-core x86-64 VM.  So at most about a minute
 MAX_CLICK_WORK = 1 << 35
 
 

@@ -12,10 +12,19 @@ that can be wrong, and refuses a result that is not finite.  Unchecked systems s
 the regime checks, which lets the double-slit toy matrices (deliberately
 non-conforming: they drop the edges that would make them
 stochastic/unitary) run as-is.
+
+A strict deterministic matrix is a function on vertices, ``dst[j]`` = the
+row of column j's 1, so a strict deterministic run of k clicks is that
+function raised to the k-th power by repeated squaring and one exact
+integer scatter: O(dim · log k).  A strict stochastic or quantum run
+clicks in blocks into one buffer and tests a block's click inputs
+together, with a margin that makes the block test stricter than the
+per-state check; only an input the block test does not pass gets the
+exact check, so every click's input is checked as if one at a time.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,6 +34,12 @@ from .algebra import (DEFAULT_TOL, NAMED_VIOLATIONS, as_count, as_matrix, as_sta
 MODES = ("strict", "unchecked")
 
 _DYNAMIC_REGIMES = ("deterministic", "stochastic", "quantum")
+
+# A strict stochastic or quantum run clicks in blocks of up to _MAX_BLOCK clicks (a buffer of at
+# most 64 KiB at dim 64), starting at one: a run of a few clicks costs what one click at a time
+# would.  A clean block doubles the next; a flagged click ends its block.
+_MAX_BLOCK = 64
+_BLOCK_TOL = 2.0**-10  # the block test's tolerance is at most this: a tighter test only flags more
 
 
 def _coerce_regime_matrix(m: np.ndarray, regime: str) -> np.ndarray:
@@ -49,6 +64,7 @@ class RegimeSystem:
     matrix: np.ndarray
     mode: str = "strict"
     tol: float = DEFAULT_TOL
+    _dst: np.ndarray | None = field(default=None, init=False, repr=False)  # strict deterministic
 
     def __post_init__(self):
         if self.regime not in _DYNAMIC_REGIMES:
@@ -68,6 +84,10 @@ class RegimeSystem:
                 raise ValueError(f"matrix fails {self.regime} validation: " + "; ".join(violations))
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        if self.mode == "strict" and self.regime == "deterministic":  # dst[j]: the row of column j's 1
+            dst = m.argmax(axis=0)
+            dst.setflags(write=False)
+            object.__setattr__(self, "_dst", dst)
 
     @property
     def dim(self) -> int:
@@ -143,27 +163,110 @@ def evolve(sys: RegimeSystem, state, steps: int) -> np.ndarray:
 
     The state is checked once on entry.  A strict system checks each
     click's input, but a deterministic one only the first: its validated
-    0/1 matrix keeps valid counts valid.  A result that is not finite, or
-    unchecked counts that int64 does not hold, raise ValueError, no warning.
+    0/1 matrix keeps valid counts valid, so its run is the click function
+    raised to the ``steps``-th power, O(dim · log steps), and one exact
+    scatter of the counts.  A strict stochastic or quantum run clicks in
+    blocks and checks each block's click inputs together
+    (``_checked_clicks``), with the same results and refusals as checking
+    them one at a time.  A result that is not finite, or unchecked counts
+    that int64 does not hold, raise ValueError, no warning.
     """
     steps = as_count(steps, "steps")
     x = as_state(state)
     if x.shape[0] != sys.dim:
         raise ValueError(f"state has dimension {x.shape[0]}, system expects {sys.dim}")
+    if steps == 0:
+        return x.copy() if x is state else x
+    if sys._dst is not None:  # strict deterministic: the entry check bounds every count below 2**63
+        out = np.zeros(sys.dim, dtype=np.int64)
+        np.add.at(out, _power(sys._dst, steps), _check_strict_state(sys, x))
+        return out
     if sys.mode == "unchecked" and (dtype := np.result_type(sys.matrix, x)).kind in "iu":
         limit = _limit(np.matmul, sys.matrix, dtype)  # once per call: a click costs one max |x|
         for _ in range(steps):
             x = _product(np.matmul, sys.matrix, x, limit)
-        return x.copy() if x is state else x
-    checked_clicks = 0 if sys.mode != "strict" else 1 if sys.regime == "deterministic" else steps
+        return x
     with np.errstate(over="ignore", invalid="ignore"):  # the finite check below reports it
-        for click in range(steps):
-            if click < checked_clicks:
-                x = _check_strict_state(sys, x)
-            x = sys.matrix @ x
+        if sys.mode == "strict":  # the caller's state is checked here, later click inputs in blocks
+            x = sys.matrix @ _checked_clicks(sys, _check_strict_state(sys, x), steps - 1)
+        else:
+            for _ in range(steps):
+                x = sys.matrix @ x
     if not np.all(np.isfinite(x)):
         raise ValueError("state entries must all be finite")
-    return x.copy() if x is state else x
+    return x
+
+
+def _power(f: np.ndarray, k: int) -> np.ndarray:
+    """The map f applied k >= 1 times, ``f[f[...f[j]]]``, by repeated squaring: O(len(f) · log k)."""
+    out = None
+    while True:
+        if k & 1:
+            out = f if out is None else f[out]
+        k >>= 1
+        if not k:
+            return out
+        f = f[f]
+
+
+def _checked_clicks(sys: RegimeSystem, x: np.ndarray, n: int) -> np.ndarray:
+    """``n`` clicks of a strict stochastic or quantum system from a checked input ``x``, each
+    click's output checked as the next click's input.
+
+    The clicks run in blocks into one buffer, and ``_passes`` tests a
+    block's outputs together.  It passes only what ``_check_strict_state``
+    would return unchanged.  At the first output it does not pass, the run
+    rewinds to that output: the exact check refuses it, renormalises it or
+    keeps it, as it would have one click at a time, and the next block
+    starts there.  A block of one click is checked exactly, which costs no
+    more than the block test.
+    """
+    m, k, since, buf = sys.matrix, 1, 0, None  # k: the next block's length
+    while n:
+        k = min(k, n)
+        if k == 1:
+            y = m @ x
+            x = _check_strict_state(sys, y)
+            taken, flagged = 1, x is not y  # a renormalised output counts as flagged
+        else:
+            if buf is None:
+                buf = np.empty((min(n, _MAX_BLOCK), sys.dim), m.dtype)
+            y = x  # x may be a row of buf, but never row 0, which the first click writes
+            for i in range(k):
+                y = np.matmul(m, y, out=buf[i])
+            ok = _passes(sys, buf[:k])
+            i = int(ok.argmin())  # the first output that does not pass, if any does not
+            flagged = not ok[i]
+            taken = i + 1 if flagged else k
+            x = _check_strict_state(sys, buf[i].copy()) if flagged else y
+        n -= taken
+        if flagged:  # a system that renormalises every few clicks does so about every `since + taken`
+            k, since = min(since + taken, _MAX_BLOCK), 0
+        else:
+            k, since = min(2 * k, _MAX_BLOCK), since + taken
+    return x
+
+
+def _passes(sys: RegimeSystem, rows: np.ndarray) -> np.ndarray:
+    """A mask of the state rows that ``_check_strict_state`` would surely return unchanged.
+
+    The check's range test is repeated exactly, with a tolerance ``eff``
+    of at most ``tol``.  Its sum or norm is computed in another order here,
+    so these are held ``slack`` inside ``eff``: two float sums of ``dim``
+    terms whose moduli add up to S differ by at most dim · 2**-52 · S, and S
+    is at most 2 + 2 · dim · eff for a state in range with total near 1, so
+    ``slack`` is 8 times that.  A quantum norm is within ``eff`` of 1 when
+    its square is within [(1 - eff)**2, (1 + eff)**2].  A row holding nan or
+    inf never passes.
+    """
+    eff, dim = min(sys.tol, _BLOCK_TOL), rows.shape[1]
+    slack = dim * 2.0**-48 * (1 + dim * eff)
+    if sys.regime == "stochastic":
+        return ((rows.min(axis=1) >= -eff) & (rows.max(axis=1) <= 1 + eff)
+                & (np.abs(rows.sum(axis=1) - 1) <= eff - slack))
+    parts = rows.view(np.float64)
+    squares = np.einsum("ij,ij->i", parts, parts)
+    return (squares >= (1 - eff) ** 2 + slack) & (squares <= (1 + eff) ** 2 - slack)
 
 
 def compose_sequential(first: RegimeSystem, second: RegimeSystem) -> RegimeSystem:

@@ -124,7 +124,7 @@ def _product_bound(a: float, b: float, dot: int, columns: int) -> float:
 
 def _from_checked(name: str, m: np.ndarray, in_bits: int, out_bits: int, quantum: bool,
                   bound: float) -> Gate:
-    """A gate whose matrix ``m`` is a new product of checked gates, kept without a copy.
+    """A gate whose matrix ``m`` is a new product of checked gates (or the identity), kept without a copy.
 
     A quantum product whose ``bound`` (``_product_bound``) is within
     DEFAULT_TOL passes ``validate``, so it is not checked again; past it,
@@ -169,9 +169,9 @@ def _identity_name(wires: int) -> str:
 
 
 def identity(wires: int) -> Gate:
-    """Identity gate on the given number of wires."""
+    """Identity gate on the given number of wires: exactly unitary, so built without ``validate``."""
     wires = as_count(wires, "wires")
-    return Gate(_identity_name(wires), np.eye(2**wires), wires, wires, quantum=True)
+    return _from_checked(_identity_name(wires), np.eye(2**wires), wires, wires, True, 0.0)
 
 
 # Built and validated once: a Gate is frozen and its matrix read-only, so lookups share it.

@@ -3,12 +3,15 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ketsim.algebra import adjoint, as_state, bool_mat_mul, mat_vec, norm, normalize, validate
 from ketsim.dynamics import (
+    _BLOCK_TOL,
+    _MAX_BLOCK,
     RegimeSystem,
     _check_strict_state,
+    _passes,
     compose_parallel,
     compose_sequential,
     evolve,
@@ -426,8 +429,8 @@ def test_evolve_matches_the_per_click_reference_loop(regime, mode):
     "regime, mode, steps, calls",
     [
         ("deterministic", "strict", 50, 1),
-        ("stochastic", "strict", 50, 50),
-        ("quantum", "strict", 50, 50),
+        ("stochastic", "strict", 50, None),
+        ("quantum", "strict", 50, None),
         *[(regime, "unchecked", 50, 0) for regime in sorted(RANDOM_MATRIX)],
         *[(regime, "strict", 0, 0) for regime in sorted(RANDOM_MATRIX)],
     ],
@@ -445,8 +448,12 @@ def test_strict_checks_run_only_on_clicks_that_can_spoil_the_state(
     rng = np.random.default_rng(61)
     sys_ = RegimeSystem(regime, RANDOM_MATRIX[regime](rng, 8), mode=mode)
     x = random_start(rng, regime, 8)
-    evolve(sys_, np.abs(x) if regime == "deterministic" else x, steps)
-    assert len(checked) == calls
+    x = np.abs(x) if regime == "deterministic" else x
+    evolve(sys_, x, steps)
+    if calls is not None:
+        assert len(checked) == calls
+    else:  # the caller's state is checked exactly; later click inputs in blocks, which pass here
+        assert checked[0] is x and len(checked) < steps
 
 
 @pytest.mark.parametrize(
@@ -489,6 +496,99 @@ def test_evolve_matches_reference_when_strict_checks_fire_mid_run():
         sys_ = RegimeSystem("deterministic", MARBLE_MATRIX, mode=mode)
         for steps in range(13):
             assert outcome(evolve, sys_, counts, steps) == outcome(reference_evolve, sys_, counts, steps)
+
+
+CLICKS_PAST_TWO_BLOCKS = st.integers(0, 2 * _MAX_BLOCK + 1)
+
+
+@st.composite
+def drifting_systems(draw):
+    """A strict stochastic or quantum system, often scaled by 1 + d within its ``tol``: its
+    runs are refused (stochastic) or renormalised (quantum) every so many clicks."""
+    regime = draw(st.sampled_from(["stochastic", "quantum"]))
+    n = draw(st.integers(1, 8))
+    tol = draw(st.sampled_from([1e-9, 1e-6, 1e-3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # the scaled matrix passes strict validation: column sums 1 + d, or M† M = (1 + d)**2 I
+    reach = 0.95 if regime == "stochastic" else 0.45
+    d = draw(st.sampled_from([0.0]) | st.floats(-reach, reach)) * tol
+    m = RANDOM_MATRIX[regime](rng, n) * (1 + d)
+    return RegimeSystem(regime, m, tol=tol), random_start(rng, regime, n)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(drifting_systems(), CLICKS_PAST_TWO_BLOCKS)
+def test_blocked_strict_runs_match_the_per_click_reference(case, steps):
+    sys_, x = case
+    assert outcome(evolve, sys_, x, steps) == outcome(reference_evolve, sys_, x, steps)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-3, 0.3])
+@pytest.mark.parametrize("regime", ["stochastic", "quantum"])
+def test_the_block_test_passes_only_what_the_exact_check_keeps(regime, tol):
+    # states within a few ulps of the edges of tol and of the block test's own tolerance, where
+    # the rounding of the two sums decides
+    rng = np.random.default_rng(73)
+    edges = [1 + e for e in (tol, -tol, _BLOCK_TOL, -_BLOCK_TOL)]
+    for n in (1, 2, 3, 7, 16, 64):
+        sys_ = RegimeSystem(regime, np.eye(n), tol=tol)
+        for _ in range(10):
+            z = rng.dirichlet(np.ones(n)) if regime == "stochastic" else normalize(random_state(rng, n))
+            rows = np.array([z * (edge * (1 + j * 2.0**-52)) for edge in edges for j in range(-40, 41)])
+            for row in rows[_passes(sys_, rows)]:
+                assert _check_strict_state(sys_, row) is row
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-300])
+def test_blocked_strict_runs_at_a_tolerance_no_block_passes(tol):
+    # a permutation keeps a one-hot state exact, so every click's exact check passes it
+    perm = np.eye(5)[[3, 0, 4, 1, 2]]
+    for regime in ("stochastic", "quantum"):
+        sys_ = RegimeSystem(regime, perm, tol=tol)
+        x = np.eye(5)[2]
+        for steps in (0, 1, 2, 3, 7, 2 * _MAX_BLOCK + 1):
+            want = outcome(reference_evolve, sys_, x, steps)
+            assert want[0] == "ok" and outcome(evolve, sys_, x, steps) == want
+
+
+@pytest.mark.parametrize("click", range(2, 2 * _MAX_BLOCK + 2))
+def test_a_stochastic_run_is_refused_at_the_click_its_input_drifts_out(click):
+    # the state sums to 1 + 0.6 tol, and each click adds about d = 0.4 tol / (click - 1.5): the
+    # input of `click` is the first past 1 + tol, whichever block it lands in
+    rng = np.random.default_rng(click)
+    tol = 1e-9
+    d = 0.4 * tol / (click - 1.5)
+    sys_ = RegimeSystem("stochastic", random_doubly_stochastic(rng, 6) * (1 + d), tol=tol)
+    p = rng.dirichlet(np.ones(6)) * (1 + 0.6 * tol)
+    assert outcome(reference_evolve, sys_, p, click - 1)[0] == "ok"
+    for steps in (click, 2 * _MAX_BLOCK + 1):
+        want = outcome(reference_evolve, sys_, p, steps)
+        assert want[0] == "refused" and "sums to" in want[1]
+        assert outcome(evolve, sys_, p, steps) == want
+
+
+@st.composite
+def counted_function_graphs(draw):
+    n = draw(st.integers(1, 8))
+    dst = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    m = np.zeros((n, n), dtype=np.int64)
+    m[dst, np.arange(n)] = 1
+    # counts up to the int64 total: some share 2**63 - 1 among the vertices
+    cap = draw(st.sampled_from([100, 2**62, 2**63 - 1]))
+    counts = draw(st.lists(st.integers(0, cap), min_size=n, max_size=n))
+    while sum(counts) >= 2**63:
+        counts[counts.index(max(counts))] //= 2
+    return m, np.array(counts, dtype=np.int64)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(counted_function_graphs(), st.integers(0, 300) | st.integers(0, 10**18))
+@example((np.array([[0, 1], [1, 0]]), np.array([3, 5])), 10**18)
+def test_strict_deterministic_runs_are_the_matrix_power(case, steps):
+    m, x = case
+    out = evolve(RegimeSystem("deterministic", m), x, steps)
+    want = np.linalg.matrix_power(m, steps) @ x  # exact: a power of a 0/1 function is one
+    assert out.dtype == want.dtype == np.int64 and out.tolist() == want.tolist()
 
 
 def test_non_finite_result_is_refused():

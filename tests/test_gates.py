@@ -115,6 +115,17 @@ def test_sized_identity_is_built_fresh():
     assert np.array_equal(gate.matrix, np.eye(8))
 
 
+@pytest.mark.parametrize("wires", range(9))
+def test_identity_is_built_without_validate_and_passes_it(wires):
+    gate = identity(wires)
+    assert gate.matrix.dtype == np.float64 and np.array_equal(gate.matrix, np.eye(2**wires))
+    assert validate(gate.matrix, "quantum") == []
+    assert gate.name == ("I" if wires == 1 else f"I({wires})")
+    assert (gate.in_bits, gate.out_bits, gate.quantum, gate._bound) == (wires, wires, True, 0.0)
+    with pytest.raises(ValueError, match="read-only"):
+        gate.matrix[0, 0] = 0.5
+
+
 def test_quantum_gates_are_unitary_classical_are_column_deterministic():
     for name in ("NOT", "H", "CNOT", "I", "I(2)"):
         gate = standard_gate(name)
