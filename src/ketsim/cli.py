@@ -18,6 +18,8 @@ import json
 import math
 import os
 import sys
+import warnings
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -40,6 +42,7 @@ MAX_SHOTS = 1 << 30  # sample_counts draws about 16M shots/s at dim 32: a minute
 # per entry from dim 128 to 2048, the most in an unchecked deterministic run's int64 product (a
 # strict deterministic run is O(dim * log steps)); 2-core x86-64 VM.  So at most about a minute
 MAX_CLICK_WORK = 1 << 35
+_BULK_LINES = 16  # below this many lines numpy's fixed cost per read outweighs the loop's per line
 
 
 class ParseFailure(Exception):
@@ -48,22 +51,14 @@ class ParseFailure(Exception):
 
 # ---------------------------------------------------------------- parsing
 
-def _content_lines(text: str) -> list[tuple[int, str]]:
-    """(line_number, stripped_text) of each line, with comments and blanks removed.
-
-    Outside comments a line must be ASCII without ``_``, because Python's
-    ``int`` and ``float`` read other Unicode digits, and ``1_0`` as 10.
-    """
-    lines = [
-        (lineno, line)
-        for lineno, raw in enumerate(text.splitlines(), start=1)
-        if (line := raw.partition("#")[0].strip())
-    ]
-    if not (text.isascii() and "_" not in text):  # only then can a line break the rule
-        for lineno, line in lines:
-            if not line.isascii() or "_" in line:
+def _content_lines(raw: list[str], plain: bool) -> Iterator[tuple[int, str]]:
+    """(line_number, stripped_text) of each line with text outside comments, ASCII without ``_``
+    (checked unless ``plain``): Python's ``int`` and ``float`` read other digits, ``1_0`` as 10."""
+    for lineno, full in enumerate(raw, start=1):
+        if line := full.partition("#")[0].strip():
+            if not (plain or line.isascii() and "_" not in line):
                 raise ParseFailure(f"line {lineno}: expected ASCII text without `_`, got {line!a}")
-    return lines
+            yield lineno, line
 
 
 def _complex_value(fields: list[str], noun: str, lineno: int, line: str) -> complex:
@@ -79,61 +74,60 @@ def _complex_value(fields: list[str], noun: str, lineno: int, line: str) -> comp
 
 
 def _real_if_possible(a: np.ndarray) -> np.ndarray:
-    return a.real if np.all(a.imag == 0) else a
+    return a.real.copy() if np.all(a.imag == 0) else a
 
 
-def _read_entries(lines: list[tuple[int, str]], shape: tuple[int, ...], per_line) -> np.ndarray:
-    """The array that entry lines describe: read in bulk when every line is well formed.
+def _bulk_entries(body: list[str], shape: tuple[int, ...]) -> np.ndarray | None:
+    """The array that plain entry lines describe, read by numpy in one pass; None if one is bad.
 
-    Otherwise ``per_line(lines, dim)`` reads the lines again one at a time,
-    and it alone names the first bad line.
-    """
-    array = _bulk_entries(lines, shape)
-    return per_line(lines, shape[0]) if array is None else array
-
-
-def _bulk_entries(lines: list[tuple[int, str]], shape: tuple[int, ...]) -> np.ndarray | None:
-    """The array that well-formed entry lines describe, or None if any line is not well formed.
-
-    A line holds one index per axis, the last axis first (a graph's
-    ``<from> <to>`` is entry [to, from]), then ``<re> [<im>]``.  Indices and
-    parts are read by Python's ``int`` and ``float``, as the per-line loops
-    read them, and the array is real when every imaginary part is 0.
-    """
-    if not lines:
-        return np.zeros(shape)
+    A line holds one index per axis, the last axis first (a graph's ``<from> <to>`` is entry
+    [to, from]), then ``<re> [<im>]``; the array is real when every imaginary part is 0."""
     k = len(shape)
-    rows = [line.split() for _, line in lines]
-    widths = set(map(len, rows))
-    if not widths <= {k + 1, k + 2}:
-        return None
-    if len(widths) == 2:  # a missing imaginary part is 0
-        rows = [row if len(row) == k + 2 else [*row, "0"] for row in rows]
-    columns, n = list(zip(*rows)), len(rows)
+    first = next((fields for line in body if (fields := line.partition("#")[0].split())), [])
+    if not first:
+        return np.zeros(shape)
+    columns = _columns(body, k, len(first)) if len(first) in (k + 1, k + 2) else None
+    if columns is None:  # lines with and without an imaginary part get one retry, padded with 0
+        rows = [(r, len(r.split())) for r in (line.partition("#")[0] for line in body)]
+        if {k + 1, k + 2} <= {w for _, w in rows} <= {0, k + 1, k + 2}:
+            columns = _columns([r + " 0" if w == k + 1 else r for r, w in rows], k, k + 2)
+        if columns is None:
+            return None
     try:
-        index = np.ravel_multi_index(
-            [np.fromiter(map(int, c), np.intp, n) for c in columns[k - 1::-1]], shape
-        )
-        parts = [np.fromiter(map(float, c), np.float64, n) for c in columns[k:]]
-    except (ValueError, OverflowError):  # a bad number, or an index out of range or beyond intp
+        index = np.ravel_multi_index(columns[k - 1::-1], shape)
+    except ValueError:  # an index out of range
         return None
+    parts = columns[k:]
     ordered = np.sort(index)  # not np.unique, whose first call imports numpy.ma (about 1 MiB)
     if (ordered[1:] == ordered[:-1]).any() or not np.isfinite(parts).all():
         return None
     out = np.zeros(shape, np.complex128 if parts[1:] and parts[1].any() else np.float64)
-    flat = out.reshape(-1)
-    flat.real[index] = parts[0]
+    out.reshape(-1).real[index] = parts[0]
     if out.dtype.kind == "c":
-        flat.imag[index] = parts[1]
+        out.reshape(-1).imag[index] = parts[1]
     return out
+
+
+def _columns(rows: list[str], k: int, width: int) -> list[np.ndarray] | None:
+    """numpy's C reader on rows of k ``intp`` then ``float64`` fields, or None if it fails or warns.
+
+    Its floats are ``float``'s (``PyOS_string_to_double``); numpy < 2 warns on an index ``1.0``."""
+    dtype = np.dtype([(f"f{i}", np.intp if i < k else np.float64) for i in range(width)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return np.loadtxt(rows, dtype, comments="#", ndmin=1, unpack=True)
+        except (ValueError, OverflowError, Warning):
+            return None
 
 
 def parse_graph(text: str) -> np.ndarray:
     """Read an edge-list description into a dense matrix."""
-    lines = _content_lines(text)
-    if not lines:
+    raw, plain = text.splitlines(), text.isascii() and "_" not in text
+    lines = _content_lines(raw, plain) if plain else iter(list(_content_lines(raw, plain)))
+    lineno, header = next(lines, (1, ""))
+    if not header:
         raise ParseFailure("line 1: empty graph file, expected `dim <n>`")
-    lineno, header = lines[0]
     fields = header.split()
     if len(fields) != 2 or fields[0] != "dim":
         raise ParseFailure(f"line {lineno}: expected `dim <n>`, got {header!r}")
@@ -145,11 +139,13 @@ def parse_graph(text: str) -> np.ndarray:
         raise ParseFailure(f"line {lineno}: dimension must be positive, got {dim}")
     if dim > MAX_DIM:
         raise ParseFailure(f"line {lineno}: dimension {dim} exceeds the limit of {MAX_DIM}")
-    return _read_entries(lines[1:], (dim, dim), _edge_loop)
+    body = raw[lineno:]
+    array = _bulk_entries(body, (dim, dim)) if plain and len(body) >= _BULK_LINES else None
+    return _edge_loop(list(lines), dim) if array is None else array
 
 
 def _edge_loop(lines: list[tuple[int, str]], dim: int) -> np.ndarray:
-    """Read edge lines one at a time: the error path, which names the first bad line."""
+    """Read edge lines one at a time, naming the first bad line: short files and the error path."""
     m = np.zeros((dim, dim), dtype=np.complex128)
     seen: set[tuple[int, int]] = set()
     for lineno, line in lines:
@@ -172,22 +168,26 @@ def _edge_loop(lines: list[tuple[int, str]], dim: int) -> np.ndarray:
 
 
 def parse_state(text: str, dim: int) -> np.ndarray:
-    """Read a state: a single bitstring, or sparse `<index> <re> [<im>]` lines."""
-    lines = _content_lines(text)
-    if len(lines) == 1:
-        token = lines[0][1]
-        if " " not in token and set(token) <= {"0", "1"}:
-            if 2 ** len(token) != dim:
-                raise ParseFailure(
-                    f"line {lines[0][0]}: bitstring of length {len(token)} describes "
-                    f"dimension {2 ** len(token)}, but the system has dimension {dim}"
-                )
-            return ket_of_bits(token)
-    return _read_entries(lines, (dim,), _amplitude_loop)
+    """Read a state: a single bitstring, or sparse `<index> <re> [<im>]` lines.
+
+    Well-formed sparse lines, ``_BULK_LINES`` or more in ASCII without ``_``, are read in one
+    numpy pass; ``_amplitude_loop`` reads any other text, naming its first bad line.
+    """
+    raw, plain = text.splitlines(), text.isascii() and "_" not in text
+    array = _bulk_entries(raw, (dim,)) if plain and len(raw) >= _BULK_LINES else None
+    return _amplitude_loop(list(_content_lines(raw, plain)), dim) if array is None else array
 
 
 def _amplitude_loop(lines: list[tuple[int, str]], dim: int) -> np.ndarray:
-    """Read sparse amplitude lines one at a time: the error path, which names the first bad line."""
+    """Read a lone bitstring, or amplitude lines one at a time naming the first bad line."""
+    if len(lines) == 1 and " " not in lines[0][1] and set(lines[0][1]) <= {"0", "1"}:
+        lineno, bits = lines[0]
+        if 2 ** len(bits) != dim:
+            raise ParseFailure(
+                f"line {lineno}: bitstring of length {len(bits)} describes "
+                f"dimension {2 ** len(bits)}, but the system has dimension {dim}"
+            )
+        return ket_of_bits(bits)
     v = np.zeros(dim, dtype=np.complex128)
     filled: set[int] = set()
     for lineno, line in lines:

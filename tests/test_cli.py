@@ -110,6 +110,7 @@ def test_parse_graph_rejects_a_dimension_above_the_limit(tmp_path, capsys):
         ("dim 2\n0 1 \u0661\n", 2),  # a weight
         ("dim 2\n0 1 1_0\n", 2),  # an underscore, which int() and float() skip
         ("dim 1_0\n", 1),
+        ("dim 0\n0 1 \u0661\n", 2),  # refused before the bad header is
     ],
 )
 def test_parse_graph_reads_only_ascii_numbers_without_underscores(text, lineno, tmp_path, capsys):
@@ -848,3 +849,47 @@ def test_every_argv_exits_cleanly(tmp_path_factory, argv):
     assert [str(w.message) for w in caught] == []
     if code != 0:
         assert "error: " in err.getvalue().splitlines()[-1]
+
+
+# pieces of graph and state files: well-formed lines, then line ends, a BOM, NUL, a lone
+# surrogate's bytes, invalid UTF-8, Unicode digits and spaces, `_` and huge tokens
+GOOD_PIECES = [b"0 0 1\n", b"1 1 1 0\r\n", b"0 1 0.5\n", b"1 0 -0.5 0.5\n", b"01", b"# c\n", b"\n"]
+ODD_PIECES = [
+    b"dim 2\n", b"\r", b" ", b"\t", b"\x0b", b"\x0c", b"\x1f", b"#", b"_", b"\xef\xbb\xbf", b"\x00",
+    b"\xed\xa0\x80", b"\xff", b"\xc3", b"\xc3\xa9", b"\xd9\xa2", b"\xe2\x80\xa8", b"\xc2\x85",
+    b"\xe3\x80\x80", b"9" * 5000, b"1e" + b"9" * 400, b"0." + b"0" * 4000 + b"1", b"nan", b"1e999",
+]
+
+
+def file_bytes(first):
+    """``first`` then pieces, one in four of them odd or random bytes."""
+    odd = st.sampled_from(ODD_PIECES) | st.binary(max_size=6)
+    piece = st.integers(0, 3).flatmap(lambda i: odd if i == 0 else st.sampled_from(GOOD_PIECES))
+    return st.tuples(st.sampled_from(first), st.lists(piece, max_size=8)).map(
+        lambda t: t[0] + b"".join(t[1]))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(file_bytes([b"dim 2\n", b"dim 1\r\n", b""]), file_bytes([b""]), st.sampled_from([
+    ("validate", "--regime", "quantum"), ("validate", "--regime", "stoch"),
+    ("evolve", "--regime", "quantum"), ("evolve", "--regime", "det", "--unchecked"),
+    ("sample", "--regime", "stoch", "--shots", "3", "--seed", "1"),
+]))
+def test_any_bytes_as_graph_and_state_files_exit_cleanly(tmp_path_factory, graph_bytes,
+                                                         state_bytes, command):
+    folder = tmp_path_factory.getbasetemp()
+    graph, state = folder / "raw.graph", folder / "raw.state"
+    graph.write_bytes(graph_bytes)
+    state.write_bytes(state_bytes)
+    argv = [command[0], str(graph), *command[1:]]
+    if command[0] != "validate":
+        argv += ["--state", str(state)]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)  # a traceback would fail the test here
+    assert code in (0, 1, 2)
+    assert [str(w.message) for w in caught] == []
+    assert all(line.startswith("error: ") for line in err.getvalue().splitlines())
+    assert err.getvalue() != "" if code == 2 else code == 1 or err.getvalue() == ""

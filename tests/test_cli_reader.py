@@ -7,6 +7,7 @@ same array, bit for bit and with the same dtype; on text with a bad line
 they must raise the same message.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -212,36 +213,77 @@ def assert_same_outcome(got, want):
         assert_same_array(got, want)
 
 
+def assert_bulk_builds_or_refuses(body, shape, want):
+    """On the text the CLI gives it (ASCII without `_`), the bulk reader builds the reference's
+    array, or returns None where the reference refuses the text."""
+    text = "\n".join(body)
+    if text.isascii() and "_" not in text:
+        got = cli._bulk_entries(body, shape)
+        if isinstance(want, str):
+            assert got is None, want
+        else:
+            assert_same_array(got, want)
+
+
+def graph_body(text):
+    """The lines after the header of a graph text, and its matrix's shape."""
+    raw = text.splitlines()
+    lineno, header = next(cli._content_lines(raw, False))
+    dim = int(header.split()[1])
+    return raw[lineno:], (dim, dim)
+
+
+def padded(text):
+    """``text`` with enough comment lines at its end for the CLI's readers to try bulk first."""
+    return text + "\n#" * cli._BULK_LINES
+
+
+def is_bitstring(text):
+    lines = [line for raw in text.splitlines() if (line := raw.partition("#")[0].strip())]
+    return len(lines) == 1 and " " not in lines[0] and set(lines[0]) <= {"0", "1"}
+
+
 # ----------------------------------------------------------------- tests
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(graph_texts(bad=False))
 def test_the_bulk_reader_builds_the_reference_graph(text):
-    lines = cli._content_lines(text)
-    assert cli._bulk_entries(lines[1:], (int(lines[0][1].split()[1]),) * 2) is not None
-    assert_same_array(parse_graph(text), reference_parse_graph(text))
+    want = reference_parse_graph(text)
+    body, shape = graph_body(text)
+    assert_same_array(cli._bulk_entries(body, shape), want)
+    assert_same_array(parse_graph(text), want)
+    assert_same_array(parse_graph(padded(text)), want)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(graph_texts(bad=True))
 def test_a_bad_graph_line_is_named_as_the_reference_names_it(text):
-    assert_same_outcome(outcome(parse_graph, text), outcome(reference_parse_graph, text))
+    want = outcome(reference_parse_graph, text)
+    assert_same_outcome(outcome(parse_graph, text), want)
+    assert_same_outcome(outcome(parse_graph, padded(text)), want)
+    assert_bulk_builds_or_refuses(*graph_body(text), want)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(state_texts(bad=False))
 def test_the_bulk_reader_builds_the_reference_state(case):
     text, dim = case
-    assert cli._bulk_entries(cli._content_lines(text), (dim,)) is not None
-    assert_same_array(parse_state(text, dim), reference_parse_state(text, dim))
+    want = reference_parse_state(text, dim)
+    assert_same_array(cli._bulk_entries(text.splitlines(), (dim,)), want)
+    assert_same_array(parse_state(text, dim), want)
+    assert_same_array(parse_state(padded(text), dim), want)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(state_texts(bad=True))
 def test_a_bad_state_line_is_named_as_the_reference_names_it(case):
     text, dim = case
-    assert_same_outcome(outcome(parse_state, text, dim), outcome(reference_parse_state, text, dim))
+    want = outcome(reference_parse_state, text, dim)
+    assert_same_outcome(outcome(parse_state, text, dim), want)
+    assert_same_outcome(outcome(parse_state, padded(text), dim), want)
+    if not is_bitstring(text):  # only the loop reads a bitstring
+        assert_bulk_builds_or_refuses(text.splitlines(), (dim,), want)
 
 
 @pytest.mark.parametrize(
@@ -261,9 +303,11 @@ def test_edge_values_are_refused_with_the_reference_message(body, reason):
     text = f"dim 3\n{body}\n1 1 0.5\n"
     message = f"line 2: {reason} in {body!r}"
     assert outcome(reference_parse_graph, text) == f"ParseFailure: {message}"
-    with pytest.raises(ParseFailure) as exc:
-        parse_graph(text)
-    assert str(exc.value) == message
+    for read in (text, padded(text)):
+        with pytest.raises(ParseFailure) as exc:
+            parse_graph(read)
+        assert str(exc.value) == message
+    assert cli._bulk_entries(text.splitlines()[1:], (3, 3)) is None
 
 
 def test_signs_and_leading_zeros_read_as_python_reads_them():
@@ -272,6 +316,7 @@ def test_signs_and_leading_zeros_read_as_python_reads_them():
     assert m.dtype == np.complex128
     assert m[3, 3] == 3 and m[2, 1] == 0.5 + 5j
     assert_same_array(m, reference_parse_graph(text))
+    assert_same_array(parse_graph(padded(text)), m)
     assert_same_array(parse_graph("dim 2\n1 0 -0.0\n"), reference_parse_graph("dim 2\n1 0 -0.0\n"))
 
 
@@ -283,8 +328,162 @@ def test_an_empty_body_is_the_zero_array():
 
 def test_a_mix_of_real_and_complex_lines_is_complex_only_when_an_imaginary_part_is_not_zero():
     real = "dim 2\n0 0 1\n1 1 1 0\n0 1 0 -0.0\n"
-    assert parse_graph(real).dtype == np.float64
-    assert_same_array(parse_graph(real), reference_parse_graph(real))
     mixed = "dim 2\n0 0 1\n1 1 0 1\n"
-    assert parse_graph(mixed).dtype == np.complex128
-    assert_same_array(parse_graph(mixed), reference_parse_graph(mixed))
+    for text in (real, padded(real), mixed, padded(mixed)):
+        assert_same_array(parse_graph(text), reference_parse_graph(text))
+    assert parse_graph(padded(real)).dtype == np.float64
+    assert parse_graph(padded(mixed)).dtype == np.complex128
+
+
+# ------------------------------------- where str.split and numpy could disagree
+
+# Python's str.split() and splitlines() treat these as blanks or line breaks (NUL as neither), and
+# numpy's C tokenizer has its own rules; only the first three leave a line in one piece
+ODD_BLANKS = ["\t", "\x1f", " \t\x1f ", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\r", "\r\n",
+              "\x00", " \x00 "]
+ODD_NEWLINES = ["\r", "\x0b", "\x0c", "\x1e"]
+BLANK_LINES = ["", " ", "\t", "\x1f", " \x0c ", "\x1c\t", "#", " # x"]
+ODD_INDICES = ["1.0", "1e0", "+3", "03", "99999999999999999999", "12345678901234567890"]
+
+
+def rarely(common, odd):
+    """Mostly ``common``, one draw in eight ``odd``."""
+    return st.integers(0, 7).flatmap(lambda i: odd if i == 0 else common)
+
+
+@st.composite
+def odd_body(draw, n_index, dim):
+    """Entry lines with odd blanks between tokens, `#` mid-line, blank-only lines and odd indices.
+
+    Each oddity is drawn rarely enough that most texts stay well formed.
+    """
+    keys = draw(st.lists(st.tuples(*[st.integers(0, dim - 1)] * n_index), unique=True,
+                         min_size=1, max_size=min(dim**n_index, 8)))
+    blank = rarely(st.just(" "), st.sampled_from(ODD_BLANKS))
+    out = []
+    for key in keys:
+        if draw(st.integers(0, 3)) == 0:
+            out.append(draw(st.sampled_from(BLANK_LINES)))
+        tokens = [draw(rarely(index_text(i), st.sampled_from(ODD_INDICES))) for i in key]
+        tokens += draw(weight_text()).split()
+        if draw(st.integers(0, 3)) == 0:  # a comment from here on: mid-line, or after the weight
+            at = draw(st.integers(0, len(tokens)))
+            tokens.insert(at, draw(st.sampled_from(["#", "#0", "# 1"])))
+        line = tokens[0]
+        for token in tokens[1:]:
+            line += draw(blank) + token
+        out.append(draw(st.sampled_from(["", " ", "\t", "\x1f"])) + line)
+    newline = draw(rarely(st.sampled_from(["\n", "\r\n"]), st.sampled_from(ODD_NEWLINES)))
+    return newline.join(out) + (newline if draw(st.booleans()) else "")
+
+
+def assert_bulk_agrees_with_the_loop(body, shape, loop):
+    """Equal arrays (values, dtype, C-contiguity) from both readers, or bulk None and a refusal."""
+    got = cli._bulk_entries(body.splitlines(), shape)
+    lines = list(cli._content_lines(body.splitlines(), False))
+    if got is None:
+        with pytest.raises(ParseFailure):
+            loop(lines, shape[0])
+        return
+    want = loop(lines, shape[0])
+    assert got.flags.c_contiguous and want.flags.c_contiguous
+    assert_same_array(got, want)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda dim: st.tuples(st.just(dim), odd_body(2, dim))))
+def test_odd_graph_text_is_read_alike_or_refused(case):
+    dim, body = case
+    assert_bulk_agrees_with_the_loop(body, (dim, dim), cli._edge_loop)
+    text = f"dim {dim}\n{body}"
+    assert_same_outcome(outcome(parse_graph, text), outcome(reference_parse_graph, text))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda dim: st.tuples(st.just(dim), odd_body(1, dim))))
+def test_odd_state_text_is_read_alike_or_refused(case):
+    dim, body = case
+    if not is_bitstring(body):  # only the loop reads a bitstring
+        assert_bulk_agrees_with_the_loop(body, (dim,), cli._amplitude_loop)
+    assert_same_outcome(outcome(parse_state, body, dim), outcome(reference_parse_state, body, dim))
+
+
+def test_a_file_may_mix_lines_with_and_without_an_imaginary_part_in_either_order():
+    for body in ["0 0 1\n1 1 0 -0.0\n0 1 2 3\n", "1 1 0 -0.0\n\n0 0 1 # c\n0 1 2 3\n"]:
+        assert_bulk_agrees_with_the_loop(body, (2, 2), cli._edge_loop)
+        assert cli._bulk_entries(body.splitlines(), (2, 2)) is not None
+
+
+def test_the_bulk_reader_holds_no_more_memory_than_the_loop():
+    rng = np.random.default_rng(7)
+    m = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    weights = m.T.reshape(-1).tolist()  # column by column: source vertex s, then target d
+    text = "dim 64\n" + "".join(
+        f"{i // 64} {i % 64} {w.real!r} {w.imag!r}\n" for i, w in enumerate(weights)
+    )
+
+    def peak(read):
+        read()  # first calls fill caches that are not the reader's
+        tracemalloc.start()
+        try:
+            read()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    bulk = peak(lambda: parse_graph(text))
+    loop = peak(lambda: cli._edge_loop(list(cli._content_lines(text.splitlines(), True))[1:], 64))
+    assert cli._bulk_entries(text.splitlines()[1:], (64, 64)) is not None
+    assert bulk <= loop, (bulk, loop)
+
+
+def test_plain_files_from_bulk_lines_on_are_read_by_one_numpy_pass_and_shorter_ones_by_the_loop(
+    monkeypatch,
+):
+    calls = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *args, **kw: calls.append(1) or loadtxt(*args, **kw))
+
+    def texts(n):
+        graph = "dim 8\n" + "".join(f"{i % 8} {i // 8} 0.25\n" for i in range(n))
+        return graph, "".join(f"{i} 0.25 -1\n" for i in range(n))
+
+    def refuse(*args):
+        raise AssertionError("read by the other reader")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_edge_loop", refuse)
+        patch.setattr(cli, "_amplitude_loop", refuse)
+        for n in (cli._BULK_LINES, 40):
+            graph, state = texts(n)
+            assert_same_array(parse_graph(graph), reference_parse_graph(graph))
+            assert_same_array(parse_state(state, 64), reference_parse_state(state, 64))
+    assert len(calls) == 4
+    monkeypatch.setattr(cli, "_bulk_entries", refuse)
+    for n in (1, cli._BULK_LINES - 1):
+        graph, state = texts(n)
+        assert_same_array(parse_graph(graph), reference_parse_graph(graph))
+        assert_same_array(parse_state(state, 64), reference_parse_state(state, 64))
+
+
+@pytest.mark.parametrize(
+    "text, reads",
+    [
+        ("dim 2\n0 0 1\n0 1 nan\n", 1),  # read, then refused
+        ("dim 2\n0 0 1\n0 1 x\n", 1),
+        ("dim 2\n0 0 1\n0 0 1\n", 1),
+        ("dim 2\n0 0 1\n0 1 1 0 0\n", 1),  # the widths are not 3 and 4: no padded retry
+        ("dim 2\n0 0 1\n1.0 1 1 0\n", 2),  # 3 and 4 fields: one padded retry
+        ("dim 2\n0 0 1 0\n1 1 1\n0 1 x\n", 2),
+        ("dim 2\n0 0\n", 0),  # no read when the first line's width is wrong
+        ("dim 2\n0 0 \u0661\n", 0),  # nor when the text is not ASCII
+    ],
+)
+def test_a_refused_file_pays_at_most_one_numpy_read_per_width(monkeypatch, text, reads):
+    calls = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *args, **kw: calls.append(1) or loadtxt(*args, **kw))
+    text = padded(text)
+    got = outcome(parse_graph, text)
+    assert len(calls) == reads
+    assert got.startswith("ParseFailure") and got == outcome(reference_parse_graph, text)
