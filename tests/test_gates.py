@@ -375,18 +375,22 @@ def reference_circuit_matrix(c):
     return total
 
 
+def assert_matches_reference(c):
+    """circuit_matrix(c) is the Kronecker reference within 1e-12, with its name, wires, flag and dtype."""
+    got, want = circuit_matrix(c), reference_circuit_matrix(c)
+    assert got.name == want.name
+    assert (got.in_bits, got.out_bits, got.quantum) == (want.in_bits, want.out_bits, want.quantum)
+    assert got.matrix.dtype == want.matrix.dtype
+    assert got.matrix.shape == want.matrix.shape
+    assert np.max(np.abs(got.matrix - want.matrix)) <= 1e-12
+    return got
+
+
 @pytest.mark.parametrize("kind", ["quantum", "classical", "empty"])
 def test_circuit_matrix_matches_kronecker_reference(kind):
     rng = np.random.default_rng({"quantum": 101, "classical": 103, "empty": 107}[kind])
     for _ in range(40):
-        c = random_circuit(rng, kind)
-        got = circuit_matrix(c)
-        want = reference_circuit_matrix(c)
-        assert got.name == want.name
-        assert (got.in_bits, got.out_bits, got.quantum) == (want.in_bits, want.out_bits, want.quantum)
-        assert got.matrix.dtype == want.matrix.dtype
-        assert got.matrix.shape == want.matrix.shape
-        assert np.max(np.abs(got.matrix - want.matrix)) <= 1e-12
+        assert_matches_reference(random_circuit(rng, kind))
 
 
 def test_circuit_matrix_skips_empty_layers_on_zero_wires():
@@ -394,6 +398,100 @@ def test_circuit_matrix_skips_empty_layers_on_zero_wires():
     got = circuit_matrix(c)
     assert got.name == reference_circuit_matrix(c).name == "I(0)"
     assert np.array_equal(got.matrix, np.eye(1))
+
+
+# --- circuit_matrix cut into factors at wires no gate crosses -------------------------
+
+def stacked_circuit(rng, blocks):
+    """Random layers of each block's gates, the blocks side by side: (wires, gate names) each, top first.
+
+    No gate crosses from one block to the next, so the circuit can be cut
+    at least between each pair of blocks.
+    """
+    layers = [[] for _ in range(int(rng.integers(1, 5)))]
+    for width, names in blocks:
+        for layer in layers:
+            part = random_layer(rng, width, names)
+            layer += part
+            width = sum(g.out_bits for g in part)
+    return Circuit(sum(width for width, _ in blocks), layers)
+
+
+REAL_QUANTUM_GATES = ("H", "NOT", "I", "CNOT")
+CUT_BLOCKS = {
+    # AND, OR and the rest shrink the width on one side of a cut, not on the other
+    "shrinking": (("AND", "NAND", "OR", "NOR", "NOT"), ("NOT", "CNOT")),
+    "classical": (CLASSICAL_GATES, CLASSICAL_GATES, CLASSICAL_GATES),
+    "identity": (REAL_QUANTUM_GATES, ("I",), REAL_QUANTUM_GATES),
+    # random complex unitaries in the middle factor only, so the result is complex128
+    "complex": (REAL_QUANTUM_GATES, ("U",), REAL_QUANTUM_GATES),
+}
+
+
+def cut_everywhere(monkeypatch):
+    """Let circuit_matrix cut circuits of any width, not only the wide ones it cuts by default."""
+    monkeypatch.setattr(ketsim.gates, "_CUT_WIRES", 1)
+
+
+@pytest.mark.parametrize("kind", sorted(CUT_BLOCKS))
+@pytest.mark.parametrize("narrow_cuts", [True, False])
+def test_a_circuit_cut_into_factors_matches_the_kronecker_reference(monkeypatch, kind, narrow_cuts):
+    if narrow_cuts:
+        cut_everywhere(monkeypatch)
+    rng = np.random.default_rng(sorted(CUT_BLOCKS).index(kind) + 157)
+    factor_counts = set()
+    for t in range(40):
+        if t % 4 == 0:  # a plain random circuit, often with no cut
+            c = random_circuit(rng, "classical" if kind in ("shrinking", "classical") else "quantum")
+        else:
+            names = CUT_BLOCKS[kind]
+            c = stacked_circuit(rng, [(int(rng.integers(1, 9 // len(names) + 1)), n) for n in names])
+            if c.wires >= ketsim.gates._CUT_WIRES:
+                assert len(ketsim.gates._factors(c)) >= len(names)
+        factor_counts.add(len(ketsim.gates._factors(c)))
+        got = assert_matches_reference(c)
+        assert_within_bound(got)
+        if kind == "complex" and t % 4:
+            assert got.matrix.dtype == np.complex128
+    assert min(factor_counts) == 1 and max(factor_counts) > 1  # both the one-factor and the cut path ran
+
+
+def test_a_cut_is_followed_through_gates_that_shrink_the_width(monkeypatch):
+    cut_everywhere(monkeypatch)
+    and_, or_, not_ = (standard_gate(n) for n in ("AND", "OR", "NOT"))
+    # the cut above input wire 2 sits above wire 1 after the AND, where layer 1 has a gate boundary too
+    c = Circuit(4, [[and_, not_, not_], [not_, or_]])
+    assert ketsim.gates._factors(c) == [(2, ((and_,), (not_,))), (2, ((not_, not_), (or_,)))]
+    c = Circuit(5, [[and_, not_, or_], [not_] * 3, [and_, not_]])
+    assert ketsim.gates._factors(c) == [(3, ((and_, not_), (not_, not_), (and_,))),
+                                        (2, ((or_,), (not_,), (not_,)))]
+    assert np.array_equal(circuit_matrix(c).matrix, reference_circuit_matrix(c).matrix)
+
+
+def test_narrow_circuits_are_not_cut():
+    c = Circuit(ketsim.gates._CUT_WIRES - 1, [[H] * (ketsim.gates._CUT_WIRES - 1)])
+    assert ketsim.gates._factors(c) == [(c.wires, c.layers)]
+    wide = Circuit(ketsim.gates._CUT_WIRES, [[H] * ketsim.gates._CUT_WIRES])
+    assert len(ketsim.gates._factors(wide)) == wide.wires
+
+
+@pytest.mark.parametrize("shape_a, shape_b", [((8, 8), (2, 2)), ((2, 2), (8, 8)), ((4, 4), (4, 4)),
+                                              ((1, 4), (2, 1)), ((2, 1), (1, 4))])
+def test_the_join_is_numpys_kron_bit_for_bit(shape_a, shape_b):
+    rng = np.random.default_rng(163)
+    a = rng.normal(size=shape_a) + 1j * rng.normal(size=shape_a)
+    b = rng.normal(size=shape_b)
+    for x, y in ((a, b), (b, a), (a.real, b)):
+        got, want = ketsim.gates._kron(x, y), np.kron(x, y)
+        assert got.dtype == want.dtype and got.shape == want.shape and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("wires", range(9))
+def test_a_circuit_with_no_layers_is_the_identity(wires):
+    got = assert_matches_reference(Circuit(wires))
+    assert np.array_equal(got.matrix, np.eye(2**wires)) and got._bound == 0.0
+    assert_within_bound(got)
 
 
 # --- a product of checked gates is not checked again ----------------------------------
@@ -475,6 +573,20 @@ def test_a_product_past_the_tolerance_is_still_refused():
         with pytest.raises(ValueError) as exc:
             build()
         assert str(exc.value) == f"gate {name!r} " + message.format(dev)
+
+
+@pytest.mark.parametrize("narrow_cuts, entry", [(False, "[1,1]"), (True, "[0,0]")])
+def test_a_refused_two_wire_circuit_names_its_largest_entry(monkeypatch, narrow_cuts, entry):
+    # Cut between its wires, the circuit is V ⊗ V for V = U>U>U, so M† M = V†V ⊗ V†V has
+    # four diagonal entries equal to the last bit and the first, [0,0], is named.  Uncut,
+    # rounding makes [1,1] and [3,3] larger than [0,0] and [2,2] by 2.2e-16.
+    if narrow_cuts:
+        cut_everywhere(monkeypatch)
+    u = rotation(1 + 4e-10)
+    with pytest.raises(ValueError) as exc:
+        circuit_matrix(Circuit(2, [[u, u]] * 3))
+    assert str(exc.value) == ("gate 'I(2)>U|U>U|U>U|U' flagged quantum but not unitary: adjoint product "
+                              f"deviates from identity by 4.8e-09 at entry {entry}")
 
 
 def test_a_product_past_its_bound_is_validated_and_kept_when_it_passes(monkeypatch):
