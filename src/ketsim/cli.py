@@ -8,18 +8,20 @@ columns index source vertices.  States are either a bitstring or sparse
 
 Exit codes: 0 success, 1 validation or golden-check failure, 2 parse or
 usage error.  Text output prints numbers at 12 significant digits; JSON
-carries round-trip exact doubles.
+carries round-trip exact doubles and equals ``json.dumps(payload, indent=2)`` byte for byte
+(pinned by ``tests/golden/json/``).
 """
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
 import warnings
 from collections.abc import Iterator
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -240,7 +242,66 @@ def _print_probabilities(p: np.ndarray) -> None:
 
 
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    print(_json_text(obj, ""))
+
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # JSON's spelling of each
+
+
+def _json_text(o, indent: str) -> str:
+    """``o`` as ``json.dumps(o, indent=2)`` writes it, at nesting prefix ``indent``.
+
+    Takes JSON's types as ``json`` does (subclasses too, such as ``np.float64``), dicts with
+    ``str`` keys only, and raises ``TypeError`` on any other object.  The pure-Python encoder that
+    ``json`` falls back to under an indent spends a generator step per value; here a list of
+    finite floats and a list of ``[re, im]`` float pairs, nearly all of a payload's bytes, are
+    each one pass of ``float.__repr__`` and one join."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        text = float.__repr__(o)
+        return _NON_FINITE.get(text, text)
+    inner = indent + "  "
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        items = _float_reprs(o) or _pair_texts(o, inner) or [_json_text(x, inner) for x in o]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in o.items()]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _float_reprs(xs) -> list[str] | None:
+    """``float.__repr__`` of each item if every item is a finite float, else None."""
+    try:
+        texts = list(map(float.__repr__, xs))
+    except TypeError:  # an item that is not a float
+        return None
+    return texts if all(map(math.isfinite, xs)) else None
+
+
+def _pair_texts(xs, indent: str) -> list[str] | None:
+    """Each item's JSON at ``indent`` if every item is a pair of finite floats, else None."""
+    if not set(map(type, xs)) <= {list, tuple} or set(map(len, xs)) != {2}:
+        return None
+    texts = _float_reprs(list(chain.from_iterable(xs)))
+    if texts is None:
+        return None
+    inner = indent + "  "
+    pair = iter(texts)
+    return list(map(f"[\n{inner}%s,\n{inner}%s\n{indent}]".__mod__, zip(pair, pair)))
 
 
 # ------------------------------------------------------------ subcommands

@@ -3,6 +3,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -13,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ketsim import cli
 from ketsim.cli import (MAX_CLICK_WORK, MAX_SHOTS, ParseFailure, fmt_number, fmt_real, main,
@@ -185,6 +187,86 @@ def test_fmt_number_complex_forms():
     assert fmt_number(1j) == "0+1i"
     assert fmt_number(-0.5 - 0.5j) == "-0.5-0.5i"
     assert fmt_number(complex(-0.0, 0.0)) == "0"
+
+
+# the JSON writer must spell every payload exactly as json.dumps(obj, indent=2) does
+SPECIAL_FLOATS = [-0.0, 5e-324, -5e-324, 1e308, -1e308, 1e16, 1e-7, math.inf, -math.inf, math.nan]
+SPECIAL_INTS = [2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 2**64, 2**64 + 1, 10**30, -(10**30)]
+SPECIAL_CHARS = '"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600'
+
+
+def json_leaves():
+    return st.one_of(
+        st.none(), st.booleans(), st.integers(), st.sampled_from(SPECIAL_INTS),
+        st.floats(), st.sampled_from(SPECIAL_FLOATS), st.floats().map(np.float64),
+        st.text(st.characters() | st.sampled_from(SPECIAL_CHARS), max_size=8),
+        # the shapes the writer joins in one pass, non-finite values included
+        st.lists(st.floats() | st.sampled_from(SPECIAL_FLOATS), max_size=6),
+        st.lists(st.lists(st.floats(), min_size=2, max_size=2), max_size=4),
+    )
+
+
+def json_payloads():
+    keys = st.text(st.characters() | st.sampled_from(SPECIAL_CHARS), max_size=6)
+    return st.recursive(json_leaves(), lambda kids: st.one_of(
+        st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(keys, kids, max_size=4),
+    ), max_leaves=20)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(json_payloads())
+def test_json_writer_matches_json_dumps_on_any_payload(obj):
+    assert cli._json_text(obj, "") == json.dumps(obj, indent=2)
+
+
+VECTOR_ENTRIES = {  # real, complex and integer vectors, as the three regimes evolve them
+    np.float64: st.floats(-1e3, 1e3) | st.sampled_from([-0.0, 5e-324, 1e-300]),
+    np.complex128: st.complex_numbers(max_magnitude=1e3),
+    np.int64: st.integers(0, 10**6),
+}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.sampled_from(list(VECTOR_ENTRIES)).flatmap(
+           lambda t: arrays(t, st.integers(1, 64), elements=VECTOR_ENTRIES[t])),
+       st.integers(0, 4), st.booleans())
+def test_json_writer_matches_json_dumps_on_the_cli_payloads(v, steps, passed):
+    probabilities = basis_distribution(v).tolist() if np.any(v) else None
+    evolved = {"dim": len(v), "amplitudes": cli._amplitude_pairs(v), "probabilities": probabilities}
+    report = {
+        "name": "unitary-3", "dim": len(v), "steps": steps, "final": cli._amplitude_pairs(v),
+        "probabilities": probabilities,
+        "checks": [{"label": "norm", "passed": passed, "deviation": float(abs(v[0]))}],
+        "passed": passed,
+    }
+    oracle = {
+        "oracle": "id", "stages": [cli._amplitude_pairs(v)] * steps,
+        "top_distribution": probabilities, "classification": "balanced",
+    }
+    for payload in (evolved, report, oracle):
+        assert cli._json_text(payload, "") == json.dumps(payload, indent=2)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40),
+       st.sampled_from([math.nan, math.inf, -math.inf]), st.integers(0, 40), st.booleans())
+def test_json_writer_spells_a_non_finite_float_in_a_float_list(xs, bad, at, paired):
+    xs.insert(at % (len(xs) + 1), bad)
+    obj = [[x, 0.0] for x in xs] if paired else xs
+    assert cli._json_text(obj, "") == json.dumps(obj, indent=2)
+    assert ("NaN" if bad != bad else "Infinity") in cli._json_text(obj, "")
+
+
+@pytest.mark.parametrize("obj", [
+    np.int64(1), np.bool_(True), 1j, {1, 2}, b"bytes", object(), [1.0, np.int64(2)],
+    [[1.0, np.float32(2.0)]], {"a": {"b": [None, np.array([1.0])]}},
+    [np.array([1.0, 2.0])], [{0.5: 1.0, 1.5: 2.0}],  # two floats each, but not a list or tuple
+    {1: "int key"},  # json would write "1"; the CLI's payloads have str keys only
+])
+def test_json_writer_refuses_what_json_cannot_write_and_non_str_keys(obj):
+    with pytest.raises(TypeError):
+        cli._json_text(obj, "")
 
 
 # ------------------------------------------------------------ end to end
@@ -483,6 +565,29 @@ def test_seeded_sample_matches_golden(name, capsys, monkeypatch):
     code, out, err = run(capsys, "sample", *SAMPLE_GOLDENS[name])
     assert (code, err) == (0, "")
     assert out == (GOLDEN_DIR / "sample" / f"{name}.txt").read_text()
+
+
+JSON_GOLDENS = {
+    # written by json.dumps(payload, indent=2); the graph and state files sit beside each golden
+    "evolve_quantum32": ("sample", "evolve", "quantum32.graph", "--state", "quantum32.state",
+                         "--steps", "2"),
+    "evolve_stochastic32": ("sample", "evolve", "stochastic32.graph", "--state",
+                            "stochastic32.state", "--regime", "stoch", "--steps", "2"),
+    "evolve_marbles6": ("json", "evolve", "marbles6.graph", "--state", "marbles6.state",
+                        "--regime", "det", "--steps", "2"),
+    **{f"scenario_{name}": ("json", "scenario", name) for name in SCENARIO_NAMES},
+    **{f"deutsch_{oracle}": ("json", "deutsch", "--oracle", oracle)
+       for oracle in ("const0", "const1", "id", "not")},
+}
+
+
+@pytest.mark.parametrize("name", JSON_GOLDENS)
+def test_json_output_matches_golden_bytes(name, capsys, monkeypatch):
+    folder, *argv = JSON_GOLDENS[name]
+    monkeypatch.chdir(GOLDEN_DIR / folder)
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN_DIR / "json" / f"{name}.json").read_text()
 
 
 def test_malformed_graph_exits_two(tmp_path, capsys):
