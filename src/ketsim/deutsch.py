@@ -112,19 +112,11 @@ class DeutschRun:
     classification: str
 
 
-def run_deutsch(f: BinaryFunction, apply_oracle=None) -> DeutschRun:
-    """Decide constant versus balanced with a single oracle query.
-
-    ``apply_oracle`` customizes how the oracle gate is applied (the
-    default is plain gate application); instrumented callers can count
-    invocations through it.
-    """
-    if apply_oracle is None:
-        apply_oracle = apply
-
+def run_deutsch(f: BinaryFunction) -> DeutschRun:
+    """Decide constant versus balanced with a single oracle query."""
     prepared = ket_of_bits("01")
     superposed = apply(_H_H, prepared)
-    queried = apply_oracle(oracle_matrix(f), superposed)
+    queried = apply(oracle_matrix(f), superposed)
     finished = apply(_H_I, queried)
 
     distribution = top_marginal(finished)

@@ -213,38 +213,32 @@ def _checked_clicks(sys: RegimeSystem, x: np.ndarray, n: int) -> np.ndarray:
     """``n`` clicks of a strict stochastic or quantum system from a checked input ``x``, each
     click's output checked as the next click's input.
 
-    The clicks run in blocks into one buffer, and ``_passes`` tests a
+    The clicks run in blocks through one buffer: row 0 holds a block's
+    input, row i the output of its i-th click, and ``_passes`` tests the
     block's outputs together.  It passes only what ``_check_strict_state``
     would return unchanged.  At the first output it does not pass, the run
     rewinds to that output: the exact check refuses it, renormalises it or
     keeps it, as it would have one click at a time, and the next block
-    starts there.  A block of one click is checked exactly, which costs no
-    more than the block test.
+    starts there.
     """
-    m, k, since, buf = sys.matrix, 1, 0, None  # k: the next block's length
+    m, k, since = sys.matrix, 1, 0  # k: the next block's length
+    buf = np.empty((min(n, _MAX_BLOCK) + 1, sys.dim), m.dtype)
+    buf[0] = x
     while n:
         k = min(k, n)
-        if k == 1:
-            y = m @ x
-            x = _check_strict_state(sys, y)
-            taken, flagged = 1, x is not y  # a renormalised output counts as flagged
-        else:
-            if buf is None:
-                buf = np.empty((min(n, _MAX_BLOCK), sys.dim), m.dtype)
-            y = x  # x may be a row of buf, but never row 0, which the first click writes
-            for i in range(k):
-                y = np.matmul(m, y, out=buf[i])
-            ok = _passes(sys, buf[:k])
-            i = int(ok.argmin())  # the first output that does not pass, if any does not
-            flagged = not ok[i]
-            taken = i + 1 if flagged else k
-            x = _check_strict_state(sys, buf[i].copy()) if flagged else y
+        for i in range(k):
+            np.dot(m, buf[i], out=buf[i + 1])
+        ok = _passes(sys, buf[1:k + 1])
+        i = int(ok.argmin())  # the first output that does not pass, if any does not
+        flagged = not ok[i]
+        taken = i + 1 if flagged else k
+        buf[0] = _check_strict_state(sys, buf[taken]) if flagged else buf[k]
         n -= taken
         if flagged:  # a system that renormalises every few clicks does so about every `since + taken`
             k, since = min(since + taken, _MAX_BLOCK), 0
         else:
             k, since = min(2 * k, _MAX_BLOCK), since + taken
-    return x
+    return buf[0]
 
 
 def _passes(sys: RegimeSystem, rows: np.ndarray) -> np.ndarray:

@@ -46,6 +46,9 @@ class Gate:
                 f"needs a {want[0]}x{want[1]} matrix, got {m.shape[0]}x{m.shape[1]}"
             )
         if self.quantum:
+            if self.in_bits != self.out_bits:
+                raise ValueError(f"gate {self.name!r} flagged quantum but maps {self.in_bits} "
+                                 f"wires to {self.out_bits}: a unitary keeps the wire count")
             _check_unitary(self.name, m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)

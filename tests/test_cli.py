@@ -113,6 +113,7 @@ def test_parse_graph_rejects_a_dimension_above_the_limit(tmp_path, capsys):
         ("dim 2\n0 1 1_0\n", 2),  # an underscore, which int() and float() skip
         ("dim 1_0\n", 1),
         ("dim 0\n0 1 \u0661\n", 2),  # refused before the bad header is
+        ("dim x\n0 1 1\n0 1 \u0661\n", 3),  # checked over the whole file before the header
     ],
 )
 def test_parse_graph_reads_only_ascii_numbers_without_underscores(text, lineno, tmp_path, capsys):
@@ -573,6 +574,11 @@ JSON_GOLDENS = {
                          "--steps", "2"),
     "evolve_stochastic32": ("sample", "evolve", "stochastic32.graph", "--state",
                             "stochastic32.state", "--regime", "stoch", "--steps", "2"),
+    # 300 clicks cross ten blocks of the strict click loop
+    "evolve_quantum32_300": ("sample", "evolve", "quantum32.graph", "--state", "quantum32.state",
+                             "--steps", "300"),
+    "evolve_stochastic32_300": ("sample", "evolve", "stochastic32.graph", "--state",
+                                "stochastic32.state", "--regime", "stoch", "--steps", "300"),
     "evolve_marbles6": ("json", "evolve", "marbles6.graph", "--state", "marbles6.state",
                         "--regime", "det", "--steps", "2"),
     **{f"scenario_{name}": ("json", "scenario", name) for name in SCENARIO_NAMES},

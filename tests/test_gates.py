@@ -182,6 +182,12 @@ def test_quantum_flag_requires_unitary():
         Gate("BAD", np.array([[1.0, 1.0], [0.0, 1.0]]), 1, 1, quantum=True)
 
 
+def test_quantum_flag_refuses_unequal_wire_counts_by_name():
+    with pytest.raises(ValueError) as exc:
+        Gate("q", np.eye(4)[:2], 2, 1, quantum=True)
+    assert str(exc.value) == "gate 'q' flagged quantum but maps 2 wires to 1: a unitary keeps the wire count"
+
+
 # --- composition -------------------------------------------------------------------
 
 def test_hadamard_is_its_own_inverse():
