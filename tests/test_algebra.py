@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from ketsim.algebra import (
     NAMED_VIOLATIONS,
+    _kron,
     adjoint,
     as_count,
     as_matrix,
@@ -243,6 +244,43 @@ def test_kron_first_factor_is_outer():
     assert out.shape == (4, 4)
     assert out[0, 1] == a[0, 0] * b[0, 1]
     assert out[2, 0] == a[1, 0] * b[0, 0]
+
+
+def typed_matrix(rng, shape, dtype):
+    if dtype == "int64":
+        return rng.integers(-9, 10, size=shape)
+    m = rng.normal(size=shape)
+    return m if dtype == "float64" else m + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("dtype_a", ["int64", "float64", "complex128"])
+@pytest.mark.parametrize("dtype_b", ["int64", "float64", "complex128"])
+def test_kron_is_numpys_kron_byte_for_byte(dtype_a, dtype_b):
+    rng = np.random.default_rng(19)
+    for shape_a, shape_b in (((2, 2), (8, 8)), ((8, 8), (2, 2)), ((4, 4), (8, 8)), ((5, 3), (4, 6)),
+                             ((1, 3), (4, 4))):
+        a, b = typed_matrix(rng, shape_a, dtype_a), typed_matrix(rng, shape_b, dtype_b)
+        got, want = kron(a, b), np.kron(a, b)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def kron_operands(draw):
+    """Two random matrices of 1 to 32 rows and columns, some entries signed zeros."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shapes = [(draw(st.integers(1, 32)), draw(st.integers(1, 32))) for _ in range(2)]
+    return [np.where(rng.random(shape) < 0.2, rng.choice([0.0, -0.0], shape), rng.normal(size=shape))
+            for shape in shapes]
+
+
+@given(kron_operands(), st.booleans(), st.booleans())
+def test_the_kron_kernel_is_numpys_kron_bit_for_bit(operands, complex_a, complex_b):
+    a, b = (m + 1j * m[::-1] if is_complex else m for m, is_complex in zip(operands, (complex_a, complex_b)))
+    for x, y in ((a, b), (b, a)):
+        got, want = _kron(x, y), np.kron(x, y)
+        assert got.dtype == want.dtype and got.shape == want.shape and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
 
 
 @given(square_matrices(2), square_matrices(2), square_matrices(2), square_matrices(2))

@@ -481,16 +481,75 @@ def test_narrow_circuits_are_not_cut():
     assert len(ketsim.gates._factors(wide)) == wide.wires
 
 
-@pytest.mark.parametrize("shape_a, shape_b", [((8, 8), (2, 2)), ((2, 2), (8, 8)), ((4, 4), (4, 4)),
-                                              ((1, 4), (2, 1)), ((2, 1), (1, 4))])
+@pytest.mark.parametrize("shape_a, shape_b", [
+    ((8, 8), (2, 2)), ((2, 2), (8, 8)), ((4, 4), (4, 4)), ((1, 4), (2, 1)), ((2, 1), (1, 4)),
+    # both sides have 4 rows or more: each output row is written in one pass
+    ((4, 4), (8, 8)), ((16, 16), (32, 32)), ((32, 32), (4, 4)),
+    # the non-square factors of circuits whose gates shrink the width
+    ((2, 4), (8, 8)), ((16, 16), (4, 16)), ((4, 8), (16, 4)), ((8, 4), (4, 2)),
+])
 def test_the_join_is_numpys_kron_bit_for_bit(shape_a, shape_b):
     rng = np.random.default_rng(163)
     a = rng.normal(size=shape_a) + 1j * rng.normal(size=shape_a)
     b = rng.normal(size=shape_b)
-    for x, y in ((a, b), (b, a), (a.real, b)):
-        got, want = ketsim.gates._kron(x, y), np.kron(x, y)
+    for x, y in ((a, b), (b, a), (a.real, b), (b, a.real)):
+        got, want = ketsim.algebra._kron(x, y), np.kron(x, y)
         assert got.dtype == want.dtype and got.shape == want.shape and got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
+
+
+# --- the factors are joined in a balanced tree ----------------------------------------
+
+def left_to_right_join(c):
+    """The contracted factors of c joined top to bottom, one _kron each."""
+    parts = (ketsim.gates._contract(wires, layers)[0] for wires, layers in ketsim.gates._factors(c))
+    return reduce(ketsim.algebra._kron, parts)
+
+
+UNEVEN_WIDTHS = [(1, 2, 2, 1, 1, 1, 1), (1, 5, 1, 2), (3, 1, 4), (2, 1, 1, 1, 3), (1, 1, 6), (6, 1, 1),
+                 (4, 2, 1)]
+
+
+@pytest.mark.parametrize("names", [QUANTUM_GATES, CLASSICAL_GATES, ("NOT", "CNOT", "I")],
+                         ids=["quantum", "classical", "permutation"])
+@pytest.mark.parametrize("narrow_cuts", [True, False])
+def test_the_balanced_join_matches_the_left_to_right_join(monkeypatch, narrow_cuts, names):
+    if narrow_cuts:
+        cut_everywhere(monkeypatch)
+    rng = np.random.default_rng(167 + len(names))
+    for t in range(3 * len(UNEVEN_WIDTHS)):
+        c = stacked_circuit(rng, [(width, names) for width in UNEVEN_WIDTHS[t % len(UNEVEN_WIDTHS)]])
+        assert len(ketsim.gates._factors(c)) >= 3
+        got, want = circuit_matrix(c), left_to_right_join(c)
+        assert got.matrix.dtype == want.dtype and got.matrix.shape == want.shape
+        if "U" in names:
+            assert np.max(np.abs(got.matrix - want)) <= 1e-15
+        else:  # 0/1 entries: every product is exact, in any order
+            assert got.matrix.tobytes() == want.tobytes()
+        assert_within_bound(got)
+
+
+def test_the_top_split_is_the_most_balanced_one():
+    split = ketsim.gates._split
+    assert split([1, 2, 2, 1, 1, 1, 1]) == 3  # 5 wires above, 4 below
+    assert split([3, 1, 4]) == 2 and split([1, 8]) == split([8, 1]) == 1
+    assert split([1, 1, 1]) == 1  # of two equally balanced splits, the first
+
+
+def test_the_last_join_is_between_the_two_halves(monkeypatch):
+    shapes = []
+
+    def spy(a, b):
+        shapes.append((a.shape, b.shape))
+        return ketsim.algebra._kron(a, b)
+
+    cnot = standard_gate("CNOT")
+    c = Circuit(9, [[H, cnot, cnot, H, H, H, H]])
+    assert [wires for wires, _ in ketsim.gates._factors(c)] == [1, 2, 2, 1, 1, 1, 1]
+    monkeypatch.setattr(ketsim.gates, "_kron", spy)
+    got = circuit_matrix(c)
+    assert len(shapes) == 6 and shapes[-1] == ((32, 32), (16, 16))
+    assert np.max(np.abs(got.matrix - reference_circuit_matrix(c).matrix)) <= 1e-12
 
 
 @pytest.mark.parametrize("wires", range(9))
