@@ -101,7 +101,7 @@ def _non_boolean_entries(m: np.ndarray) -> np.ndarray:
 
 def is_deterministic(m: np.ndarray) -> bool:
     """True for 0/1 entries with one 1 per column: each basis column goes to one basis row."""
-    return not _non_boolean_entries(m).size and bool(np.all((m == 1).sum(axis=0) == 1))
+    return not _validate_deterministic(m, 0)
 
 
 def _require_boolean(m: np.ndarray, side: str) -> np.ndarray:
@@ -267,24 +267,21 @@ def validate(m, regime: str, tol: float = DEFAULT_TOL, *, limit: int | None = No
         if regime == "stochastic":
             return _validate_stochastic(m, tol, limit)
         if regime == "quantum":
-            return _validate_quantum(m, tol)
-        return _validate_hermitian(m, tol)
+            return _largest(_unitary_deviation(m), tol,
+                            "unitary: adjoint product deviates from identity")
+        return _largest(_max_abs_entry(m - m.conj().T), tol, "hermitian: differs from own adjoint")
 
 
-def refuse_violations(violations: list[str], prefix: str) -> None:
-    """Raise ValueError(prefix + the violations joined by "; ") when there are any.
+def refuse(m, regime: str, tol: float, prefix: str) -> None:
+    """Raise ValueError(prefix + the violations joined by "; ") when ``m`` fails ``regime``.
 
-    Past ``NAMED_VIOLATIONS`` the rest are counted, not named, so the message
-    stays short for a large matrix that breaks a rule everywhere.
+    Every check that refuses a matrix raises here.  Past ``NAMED_VIOLATIONS``
+    the rest are counted, not named or formatted, so the message stays short
+    and quick for a large matrix that breaks a rule everywhere.
     """
+    violations = validate(m, regime, tol, limit=NAMED_VIOLATIONS)
     if violations:
-        raise ValueError(prefix + "; ".join(_counted(violations[:NAMED_VIOLATIONS], len(violations))))
-
-
-def _counted(named: list[str], total: int) -> list[str]:
-    """``named``, then one entry counting the ``total - len(named)`` violations it leaves out."""
-    more = total - len(named)
-    return named + [f"and {more} more"] if more > 0 else named
+        raise ValueError(prefix + "; ".join(violations))
 
 
 def _listed(groups, limit: int | None) -> list[str]:
@@ -298,7 +295,8 @@ def _listed(groups, limit: int | None) -> list[str]:
         total += len(where)
         room = len(where) if limit is None else max(limit - len(named), 0)
         named += [say(*index) for index in where[:room]]
-    return _counted(named, total)
+    more = total - len(named)
+    return named + [f"and {more} more"] if more > 0 else named
 
 
 def _validate_deterministic(m: np.ndarray, limit: int | None) -> list[str]:
@@ -337,16 +335,7 @@ def _unitary_deviation(m: np.ndarray) -> tuple[float, int, int]:
     return _max_abs_entry(m.conj().T @ m - np.eye(m.shape[0]))
 
 
-def _validate_quantum(m: np.ndarray, tol: float) -> list[str]:
-    dev, i, j = _unitary_deviation(m)
-    if dev > tol:
-        return [f"not unitary: adjoint product deviates from identity by {dev:.6g} at entry [{i},{j}]"]
-    return []
-
-
-def _validate_hermitian(m: np.ndarray, tol: float) -> list[str]:
-    d = m - m.conj().T
-    dev, i, j = _max_abs_entry(d)
-    if dev > tol:
-        return [f"not hermitian: differs from own adjoint by {dev:.6g} at entry [{i},{j}]"]
-    return []
+def _largest(deviation: tuple[float, int, int], tol: float, words: str) -> list[str]:
+    """The one violation of a rule measured by its largest deviation, when that exceeds ``tol``."""
+    dev, i, j = deviation
+    return [f"not {words} by {dev:.6g} at entry [{i},{j}]"] if dev > tol else []

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import (DEFAULT_TOL, NAMED_VIOLATIONS, as_count, as_matrix, as_state, as_tolerance,
-                      euclidean_norm, unit, validate)
+from .algebra import (DEFAULT_TOL, as_count, as_matrix, as_state, as_tolerance, euclidean_norm, refuse,
+                      unit)
 
 MODES = ("strict", "unchecked")
 
@@ -78,10 +78,8 @@ class RegimeSystem:
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"system matrix must be square, got {m.shape[0]}x{m.shape[1]}")
         m = _coerce_regime_matrix(m, self.regime)  # a new array: never the caller's
-        if self.mode == "strict":  # validate counts what it does not name, so no refusal formats them all
-            violations = validate(m, self.regime, self.tol, limit=NAMED_VIOLATIONS)
-            if violations:
-                raise ValueError(f"matrix fails {self.regime} validation: " + "; ".join(violations))
+        if self.mode == "strict":
+            refuse(m, self.regime, self.tol, f"matrix fails {self.regime} validation: ")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         if self.mode == "strict" and self.regime == "deterministic":  # dst[j]: the row of column j's 1

@@ -20,7 +20,7 @@ from itertools import accumulate
 import numpy as np
 
 from .algebra import (DEFAULT_TOL, _kron, _unitary_deviation, as_count, as_matrix, as_state,
-                      is_deterministic, refuse_violations, validate)
+                      is_deterministic, refuse)
 
 _EPS = float(np.finfo(float).eps)  # 2**-52, twice the unit roundoff of float64
 
@@ -50,7 +50,7 @@ class Gate:
             if self.in_bits != self.out_bits:
                 raise ValueError(f"gate {self.name!r} flagged quantum but maps {self.in_bits} "
                                  f"wires to {self.out_bits}: a unitary keeps the wire count")
-            _check_unitary(self.name, m)
+            refuse(m, "quantum", DEFAULT_TOL, f"gate {self.name!r} flagged quantum but ")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -85,10 +85,6 @@ class Gate:
             return 0.0
         n = self.matrix.shape[0]
         return n * (_unitary_deviation(self.matrix)[0] + 3 * n * _EPS)
-
-
-def _check_unitary(name: str, m: np.ndarray) -> None:
-    refuse_violations(validate(m, "quantum", DEFAULT_TOL), f"gate {name!r} flagged quantum but ")
 
 
 def _grown(a: float, b: float) -> float:
@@ -138,7 +134,7 @@ def _from_checked(name: str, m: np.ndarray, in_bits: int, out_bits: int, quantum
     if not quantum:
         as_matrix(m)
     elif bound > DEFAULT_TOL:
-        _check_unitary(name, m)
+        refuse(m, "quantum", DEFAULT_TOL, f"gate {name!r} flagged quantum but ")
     m.setflags(write=False)
     g = object.__new__(Gate)  # the fields Gate.__post_init__ would set, and the bound
     vars(g).update(name=name, matrix=m, in_bits=in_bits, out_bits=out_bits, quantum=quantum,

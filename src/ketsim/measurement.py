@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (DEFAULT_TOL, as_count, as_state, as_tolerance, refuse_violations, rescaled,
-                      squared_moduli, stands, unit, validate)
+from .algebra import (DEFAULT_TOL, as_count, as_state, as_tolerance, refuse, rescaled, squared_moduli,
+                      stands, unit)
 
 _CHUNK = 1 << 20  # uniforms drawn per batch in sample_counts: 8 MiB, whatever the shot count
 
@@ -110,7 +110,7 @@ def spectral_decompose(observable, tol: float = DEFAULT_TOL) -> EigenDecompositi
     A @ v_j = lambda_j * v_j for each column.  An eigenvalue beyond the
     float range raises ValueError.
     """
-    refuse_violations(validate(observable, "hermitian", tol), "observable must be hermitian: ")
+    refuse(observable, "hermitian", tol, "observable must be hermitian: ")
     a = np.asarray(observable, dtype=np.complex128)
     a = a / 2 + a.conj().T / 2  # kill asymmetry dust within tol; halving first cannot overflow
     eigenvalues, eigenvectors = np.linalg.eigh(a)

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ketsim.algebra import (
+    DEFAULT_TOL,
     NAMED_VIOLATIONS,
     _kron,
     adjoint,
@@ -15,13 +16,14 @@ from ketsim.algebra import (
     as_matrix,
     as_state,
     bool_mat_mul,
+    is_deterministic,
     kron,
     mat_mul,
     mat_vec,
     modulus_squared,
     norm,
     normalize,
-    refuse_violations,
+    refuse,
     validate,
 )
 from ketsim.dynamics import RegimeSystem, evolve
@@ -496,6 +498,13 @@ def test_object_and_string_arrays_are_refused_as_values(call):
         call()
 
 
+def test_an_empty_matrix_or_state_is_refused():
+    with pytest.raises(ValueError, match=r"^matrix must have positive dimensions, got 0x3$"):
+        as_matrix(np.zeros((0, 3)))
+    with pytest.raises(ValueError, match="^state vector must have positive dimension$"):
+        as_state([])
+
+
 @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int8, np.int64, np.uint64, np.float16, np.complex64])
 def test_bool_and_every_numeric_kind_are_accepted(dtype):
     assert as_state(np.ones(2, dtype=dtype)).dtype == dtype
@@ -545,17 +554,19 @@ def test_a_count_may_be_any_int():
 
 @pytest.mark.parametrize("count", [0, 1, 9, 10, 11, 25])
 def test_a_refusal_names_ten_violations_and_counts_the_rest(count):
-    violations = [f"violation {i}" for i in range(count)]
+    m = np.eye(25)
+    m[0, :count] = 2.0
+    violations = [f"entry [0,{j}] = 2.0 is not 0 or 1" for j in range(count)]
     if count == 0:
-        assert refuse_violations(violations, "bad: ") is None
+        assert refuse(m, "deterministic", DEFAULT_TOL, "bad: ") is None
         return
     with pytest.raises(ValueError) as exc:
-        refuse_violations(violations, "bad: ")
+        refuse(m, "deterministic", DEFAULT_TOL, "bad: ")
     if count <= NAMED_VIOLATIONS:  # as the whole list was always joined
         assert str(exc.value) == "bad: " + "; ".join(violations)
     else:
         assert str(exc.value) == "bad: " + "; ".join(violations[:10]) + f"; and {count - 10} more"
-    assert len(violations) == count  # the caller's list is left as it was
+    assert validate(m, "deterministic") == violations  # the caller's matrix is left as it was
 
 
 def test_a_matrix_that_breaks_a_rule_everywhere_gets_a_short_refusal():
@@ -597,5 +608,77 @@ def test_a_limited_validate_names_the_first_violations_and_counts_the_rest(regim
                 RegimeSystem(regime, m)
             stored = RegimeSystem(regime, m, mode="unchecked").matrix  # as the strict check sees it
             with pytest.raises(ValueError) as listed:
-                refuse_violations(validate(stored, regime), f"matrix fails {regime} validation: ")
+                refuse(stored, regime, DEFAULT_TOL, f"matrix fails {regime} validation: ")
             assert str(exc.value) == str(listed.value)
+
+
+def _non_hermitian_matrix(rng, dim):
+    """A dim x dim complex matrix that is hermitian, off by a little, or not hermitian at all."""
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return (m + m.conj().T) / 2 + rng.choice([0, 1e-10, 1e-6, 1]) * m
+
+
+# Each constructor that checks a matrix: (the check it runs, build from a matrix and a tol, prefix).
+CHECKED_CONSTRUCTORS = {
+    "RegimeSystem-deterministic": ("deterministic", lambda m, tol: RegimeSystem("deterministic", m, tol=tol),
+                                   "matrix fails deterministic validation: "),
+    "RegimeSystem-stochastic": ("stochastic", lambda m, tol: RegimeSystem("stochastic", m, tol=tol),
+                                "matrix fails stochastic validation: "),
+    "RegimeSystem-quantum": ("quantum", lambda m, tol: RegimeSystem("quantum", m, tol=tol),
+                             "matrix fails quantum validation: "),
+    "Gate": ("quantum", lambda m, tol: Gate("U", m, len(m).bit_length() - 1, len(m).bit_length() - 1,
+                                            quantum=True), "gate 'U' flagged quantum but "),
+    "spectral_decompose": ("hermitian", spectral_decompose, "observable must be hermitian: "),
+}
+
+
+@pytest.mark.parametrize("entry", CHECKED_CONSTRUCTORS)
+def test_every_refusal_is_its_prefix_and_the_limited_violations(entry):
+    regime, build, prefix = CHECKED_CONSTRUCTORS[entry]
+    rng = np.random.default_rng(191)
+    for _ in range(80):
+        dim = 2 ** int(rng.integers(0, 4)) if entry == "Gate" else int(rng.integers(1, 12))
+        tol = DEFAULT_TOL if entry == "Gate" else float(rng.choice([0, DEFAULT_TOL, 1e-3]))
+        if regime == "hermitian":
+            m = _non_hermitian_matrix(rng, dim)
+        else:
+            m = _violating_matrix(rng, regime, dim)
+        if entry.startswith("RegimeSystem"):
+            if regime == "stochastic" and np.any(m.imag != 0):
+                continue  # refused as complex before the regime check
+            checked = RegimeSystem(regime, m, mode="unchecked").matrix  # as the strict check sees it
+        else:
+            checked = m
+        violations = validate(checked, regime, tol, limit=NAMED_VIOLATIONS)
+        if not violations:
+            build(m, tol)
+            continue
+        with pytest.raises(ValueError) as exc:
+            build(m, tol)
+        assert str(exc.value) == prefix + "; ".join(violations)
+
+
+def _reference_is_deterministic(m):
+    return bool(np.isin(m, (0, 1)).all() and ((m == 1).sum(axis=0) == 1).all())
+
+
+@pytest.mark.parametrize("name", ["AND", "OR", "NAND", "NOR"])
+def test_the_irreversible_gates_are_deterministic(name):
+    m = standard_gate(name).matrix
+    square = np.vstack([m, np.zeros((2, 4))])  # rows of zeros: the same columns, so the same verdict
+    assert is_deterministic(m) == (validate(square, "deterministic") == []) == _reference_is_deterministic(m)
+    assert is_deterministic(m)
+
+
+def test_is_deterministic_is_a_passing_deterministic_validate():
+    rng = np.random.default_rng(193)
+    verdicts = set()
+    for _ in range(300):
+        dim = int(rng.integers(1, 7))
+        m = np.eye(dim)[:, rng.integers(dim, size=dim)]
+        spoiled = rng.random((dim, dim)) < rng.random() / 3
+        m = np.where(spoiled, rng.integers(0, 3, size=(dim, dim)), m)
+        verdict = is_deterministic(m)
+        assert verdict == (validate(m, "deterministic") == []) == _reference_is_deterministic(m)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}

@@ -116,6 +116,14 @@ def test_deterministic_storage_is_int64_exactly_when_int64_holds_every_entry(m, 
     assert stored.tolist() == want
 
 
+@pytest.mark.parametrize("regime, dtype", [("deterministic", np.int64), ("stochastic", np.float64)])
+def test_a_complex_matrix_with_no_imaginary_part_is_stored_real(regime, dtype):
+    m = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+    stored = RegimeSystem(regime, m).matrix
+    assert stored.dtype == dtype
+    assert stored.tolist() == [[0, 1], [1, 0]]
+
+
 def test_system_matrix_is_read_only():
     sys_ = RegimeSystem("stochastic", STOCHASTIC_MATRIX)
     with pytest.raises(ValueError):
@@ -162,6 +170,8 @@ def test_strict_state_checks():
     quantum = RegimeSystem("quantum", UNITARY_MATRIX)
     with pytest.raises(ValueError, match="nonzero"):
         step(quantum, np.zeros(3))
+    with pytest.raises(ValueError, match="^stochastic state must be real$"):
+        evolve(stoch, np.array([1, 0, 0], dtype=np.complex128), 2)
 
 
 def test_unchecked_skips_state_checks():

@@ -295,6 +295,7 @@ def test_circuit_of_single_gate():
 
 def test_empty_circuit_is_identity():
     c = Circuit(3)
+    assert c.out_wires == 3
     gate = circuit_matrix(c)
     assert np.array_equal(gate.matrix, np.eye(8))
 
@@ -607,7 +608,7 @@ def counting_validate(monkeypatch):
         calls.append(args)
         return validate(*args, **kwargs)
 
-    monkeypatch.setattr(ketsim.gates, "validate", spy)
+    monkeypatch.setattr(ketsim.algebra, "validate", spy)  # gates refuse through algebra.refuse
     return calls
 
 
