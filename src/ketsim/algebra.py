@@ -123,6 +123,9 @@ def bool_mat_mul(a, b) -> np.ndarray:
     return (_require_boolean(a, "left") @ _require_boolean(b, "right") > 0).astype(np.int64)
 
 
+_KRON_ROW_ENTRIES = 4096  # the smallest output that ``_kron`` writes row by row
+
+
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.kron of two matrices, bit for bit, in one multiply with a long contiguous inner loop.
 
@@ -136,13 +139,14 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     short inner loop below and 0.34 ms for np.kron.
 
     With fewer than 4 rows on a side, one helper would be half the output
-    or more, and the extra calls cost more than they save on small
-    operands, so numpy's inner loop runs over the last axis of the
-    operands as given: b's columns, l adjacent entries per loop, or, when
-    l < j, a's columns, j entries l apart.
+    or more, and below ``_KRON_ROW_ENTRIES`` output entries the extra calls
+    cost more than they save ((4 x 4) ⊗ (8 x 8): 10.7 against 8.3 us;
+    (8 x 8) ⊗ (8 x 8): 14.7 against 16.7 us), so numpy's inner loop runs
+    over the last axis of the operands as given: b's columns, l adjacent
+    entries per loop, or, when l < j, a's columns, j entries l apart.
     """
     (i, j), (k, l) = a.shape, b.shape
-    if i >= 4 and k >= 4:
+    if i >= 4 and k >= 4 and i * j * k * l >= _KRON_ROW_ENTRIES:
         rows_a = np.repeat(a, l, axis=1)[:, None, :]
         rows_b = np.repeat(b[:, None, :], j, axis=1).reshape(k, j * l)
         return (rows_a * rows_b).reshape(i * k, j * l)
@@ -263,12 +267,11 @@ def validate(m, regime: str, tol: float = DEFAULT_TOL, *, limit: int | None = No
         )
     if regime == "deterministic":
         return _validate_deterministic(m, limit)
+    if regime == "quantum":
+        return _largest(_unitary_deviation(m), tol, "unitary: adjoint product deviates from identity")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed deviation reads inf: refused
         if regime == "stochastic":
             return _validate_stochastic(m, tol, limit)
-        if regime == "quantum":
-            return _largest(_unitary_deviation(m), tol,
-                            "unitary: adjoint product deviates from identity")
         return _largest(_max_abs_entry(m - m.conj().T), tol, "hermitian: differs from own adjoint")
 
 
@@ -331,8 +334,9 @@ def _max_abs_entry(d: np.ndarray) -> tuple[float, int, int]:
 
 
 def _unitary_deviation(m: np.ndarray) -> tuple[float, int, int]:
-    """max |(m† m - I)[i, j]|, computed, and where it lies."""
-    return _max_abs_entry(m.conj().T @ m - np.eye(m.shape[0]))
+    """max |(m† m - I)[i, j]|, computed, and where it lies; an overflowed product reads inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _max_abs_entry(m.conj().T @ m - np.eye(m.shape[0]))
 
 
 def _largest(deviation: tuple[float, int, int], tol: float, words: str) -> list[str]:

@@ -56,14 +56,22 @@ BINARY_FUNCTIONS = {
 }
 
 
+def _oracle_gate(f0: int, f1: int) -> Gate:
+    # column 2x + y goes to row 2x + (y XOR f(x))
+    m = _truth_table_matrix({0: f0, 1: 1 - f0, 2: 2 + f1, 3: 3 - f1}, 2, 2)
+    return Gate(f"oracle({f0},{f1})", m, 2, 2, quantum=True)
+
+
+# Built and validated once, as the standard gates are: a Gate is frozen and its matrix read-only.
+_ORACLES = {(f0, f1): _oracle_gate(f0, f1) for f0 in (0, 1) for f1 in (0, 1)}
+
+
 def oracle_matrix(f: BinaryFunction) -> Gate:
-    """Two-wire permutation gate sending |x,y> to |x, y XOR f(x)>.
+    """Two-wire permutation gate sending |x,y> to |x, y XOR f(x)>, shared by every call.
 
     XOR-ing twice undoes itself, so every oracle is its own inverse.
     """
-    # column 2x + y goes to row 2x + (y XOR f(x))
-    m = _truth_table_matrix({0: f.f0, 1: 1 - f.f0, 2: 2 + f.f1, 3: 3 - f.f1}, 2, 2)
-    return Gate(f"oracle({f.f0},{f.f1})", m, 2, 2, quantum=True)
+    return _ORACLES[f.f0, f.f1]
 
 
 def first_attempt(f: BinaryFunction) -> np.ndarray:

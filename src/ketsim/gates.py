@@ -50,7 +50,10 @@ class Gate:
             if self.in_bits != self.out_bits:
                 raise ValueError(f"gate {self.name!r} flagged quantum but maps {self.in_bits} "
                                  f"wires to {self.out_bits}: a unitary keeps the wire count")
-            refuse(m, "quantum", DEFAULT_TOL, f"gate {self.name!r} flagged quantum but ")
+            deviation = _unitary_deviation(m)[0]  # measured once: validate's test, and ``_bound``'s
+            if not deviation <= DEFAULT_TOL:
+                refuse(m, "quantum", DEFAULT_TOL, f"gate {self.name!r} flagged quantum but ")
+            object.__setattr__(self, "_deviation", deviation)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -71,20 +74,20 @@ class Gate:
         """An upper bound on ||M† M - I||_2: 0 for a permutation, inf unless quantum.
 
         Set when a product is built from its parts (``_from_checked``).  A
-        gate checked on its own has passed ``validate``, whose computed
-        deviation ``dev`` is max |(M† M - I)[i, j]| up to the rounding of
-        M† M: each entry is a sum of N = 2^in_bits products, so it errs by
-        at most 2·N·eps·(1 + the true deviation) (``_product_bound``).  With
-        ``dev`` <= DEFAULT_TOL that puts every true entry within
-        ``dev + 3·N·eps``, and a matrix's 2-norm is at most N times its
-        largest entry.  A permutation's M† M is exact.
+        gate checked on its own has passed ``validate``'s test on the
+        deviation ``dev`` measured when it was built, max |(M† M - I)[i, j]|
+        up to the rounding of M† M: each entry is a sum of N = 2^in_bits
+        products, so it errs by at most 2·N·eps·(1 + the true deviation)
+        (``_product_bound``).  With ``dev`` <= DEFAULT_TOL that puts every
+        true entry within ``dev + 3·N·eps``, and a matrix's 2-norm is at
+        most N times its largest entry.  A permutation's M† M is exact.
         """
         if not self.quantum:
             return math.inf
         if self._deterministic:
             return 0.0
         n = self.matrix.shape[0]
-        return n * (_unitary_deviation(self.matrix)[0] + 3 * n * _EPS)
+        return n * (self._deviation + 3 * n * _EPS)
 
 
 def _grown(a: float, b: float) -> float:

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ketsim.algebra import (
@@ -259,8 +259,9 @@ def typed_matrix(rng, shape, dtype):
 @pytest.mark.parametrize("dtype_b", ["int64", "float64", "complex128"])
 def test_kron_is_numpys_kron_byte_for_byte(dtype_a, dtype_b):
     rng = np.random.default_rng(19)
+    # the row path takes (8, 8) ⊗ (8, 8) and up, 4,096 output entries; (4, 4) ⊗ (8, 8) is below it
     for shape_a, shape_b in (((2, 2), (8, 8)), ((8, 8), (2, 2)), ((4, 4), (8, 8)), ((5, 3), (4, 6)),
-                             ((1, 3), (4, 4))):
+                             ((1, 3), (4, 4)), ((8, 8), (8, 8)), ((4, 4), (16, 16)), ((4, 4), (4, 4))):
         a, b = typed_matrix(rng, shape_a, dtype_a), typed_matrix(rng, shape_b, dtype_b)
         got, want = kron(a, b), np.kron(a, b)
         assert got.dtype == want.dtype and got.shape == want.shape
@@ -276,6 +277,20 @@ def kron_operands(draw):
             for shape in shapes]
 
 
+def kron_example(shape_a, shape_b, seed):
+    """Operands of the given shapes, as kron_operands draws them, for an explicit example."""
+    rng = np.random.default_rng(seed)
+    return example([rng.normal(size=shape_a), rng.normal(size=shape_b)], seed % 2 == 0, seed % 3 == 0)
+
+
+# on both sides of the row path's floor of 4,096 output entries, and at it
+@kron_example((4, 4), (4, 4), 1)
+@kron_example((4, 4), (8, 8), 2)
+@kron_example((4, 4), (15, 17), 3)
+@kron_example((4, 4), (16, 16), 4)
+@kron_example((8, 8), (8, 8), 5)
+@kron_example((16, 16), (4, 4), 6)
+@kron_example((5, 32), (4, 31), 7)
 @given(kron_operands(), st.booleans(), st.booleans())
 def test_the_kron_kernel_is_numpys_kron_bit_for_bit(operands, complex_a, complex_b):
     a, b = (m + 1j * m[::-1] if is_complex else m for m, is_complex in zip(operands, (complex_a, complex_b)))

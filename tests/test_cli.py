@@ -1,6 +1,7 @@
 """Command-line interface: file parsing, output formats, exit codes."""
 import argparse
 import contextlib
+import functools
 import io
 import json
 import math
@@ -1004,3 +1005,161 @@ def test_any_bytes_as_graph_and_state_files_exit_cleanly(tmp_path_factory, graph
     assert [str(w.message) for w in caught] == []
     assert all(line.startswith("error: ") for line in err.getvalue().splitlines())
     assert err.getvalue() != "" if code == 2 else code == 1 or err.getvalue() == ""
+
+
+# ------------------------------------------------------- the plain argv reader
+
+def subcommand_actions(command):
+    """The parser's own actions of one subcommand, help left out."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [a for a in commands.choices[command]._actions if a.default is not argparse.SUPPRESS]
+
+
+@st.composite
+def plain_argvs(draw):
+    """A subcommand, some of its positionals, then its options in exact spellings, each value
+    mostly one the option accepts (a choice, or a number for the typed ones), sometimes an odd
+    value, a word or random text."""
+    command = draw(st.sampled_from(sorted(VALID_ARGVS)))
+    odd = st.sampled_from(ODD_VALUES) | st.sampled_from([*VALID_ARGVS, *CHOICES, "GRAPH"]) | RANDOM_TEXT
+    def value(action):
+        good = st.sampled_from(action.choices) if action.choices else st.sampled_from(["0", "3", "1e-9"])
+        return st.integers(0, 3).flatmap(lambda i: odd if i == 0 else good)
+    actions = subcommand_actions(command)
+    positionals = [a for a in actions if not a.option_strings]
+    argv = [command] + [draw(value(a)) for a in positionals[:draw(st.integers(0, len(positionals)))]]
+    for action in draw(st.lists(st.sampled_from([a for a in actions if a.option_strings]), max_size=6)):
+        argv += [action.option_strings[0]] + ([draw(value(action))] if action.nargs is None else [])
+    return argv
+
+
+def argparse_reading(argv):
+    """vars() of argparse's namespace for argv, or None where argparse exits."""
+    try:
+        with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+            return vars(cli.build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(argvs() | plain_argvs() | st.sampled_from(list(VALID_ARGVS.values())))
+def test_a_plainly_read_argv_is_what_argparse_reads(argv):
+    plain = cli._plain_args(argv)
+    if plain is not None:
+        assert vars(plain) == argparse_reading(argv)
+
+
+@pytest.mark.parametrize("argv", [*VALID_ARGVS.values(), ["scenario"], ["scenario", "--list"],
+                                  ["evolve", "GRAPH", "--state", "S", "--steps", "2", "--steps", "3"]])
+def test_the_plain_reader_reads_each_valid_run(argv):
+    plain = cli._plain_args(argv)
+    assert plain is not None and vars(plain) == argparse_reading(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["deutsch", "--oracle", "id", "--help"],
+    ["deutsch", "-h", "--oracle", "id"],
+    ["validate", "GRAPH", "--prob", "--regime", "quantum"],
+    ["evolve", "GRAPH", "--state", "0", "--steps=3"],
+    ["evolve", "GRAPH", "--state", "0", "--"],
+    ["evolve", "GRAPH", "--state", "0", "--steps", "-1"],
+    ["scenario", "--format", "json", "photons"],
+    ["evolve", "GRAPH"],
+    ["validate", "GRAPH", "--regime", "quantum", "EXTRA"],
+    ["validate", "--regime", "quantum"],
+    ["validate", "-GRAPH", "--regime", "quantum"],
+    ["deutsch", "--oracle"],
+    ["deutsch", "--oracle", "maybe"],
+    ["sample", "GRAPH", "--state", "0", "--shots", "0"],
+    ["evolve", "GRAPH", "--state", "0", "--tol", "nan"],
+    ["deutsch", "--oracle", 1],
+    ["--help"],
+    ["deu", "--oracle", "id"],
+    [],
+], ids=lambda argv: " ".join(map(str, argv)) or "empty")
+def test_the_plain_reader_leaves_every_other_argv_to_argparse(argv):
+    assert cli._plain_args(argv) is None
+
+
+def toy_parser():
+    """A parser with action kinds, defaults and aliases that ketsim's own parser does not use."""
+    parser = argparse.ArgumentParser(prog="toy")
+    sub = parser.add_subparsers(dest="command", required=True)
+    a = sub.add_parser("a", aliases=["ay"])
+    a.add_argument("first")
+    a.add_argument("second", nargs="?", default="2", type=int, choices=(2, 3))
+    a.add_argument("--level", "-l", type=int, default="7")
+    a.add_argument("--name", default="x", choices=("x", "y"))
+    a.add_argument("--on", action="store_const", const="yes", default="no")
+    a.add_argument("--off", action="store_false")
+    a.add_argument("--many", action="append")
+    a.add_argument("--need", required=True)
+    a.set_defaults(func=len, extra=1)
+    sub.add_parser("b").add_argument("items", nargs="*")
+    return parser
+
+
+@pytest.mark.parametrize("argv, plain", [
+    (["a", "F", "--need", "n"], True),
+    (["ay", "F", "3", "--need", "n", "-l", "9", "--level", "8"], True),
+    (["a", "F", "--need", "n", "--on", "--off", "--name", "y"], True),
+    (["a", "F", "4", "--need", "n"], False),  # not a choice
+    (["a", "F", "--need", "n", "--level", "x"], False),  # not an int
+    (["a", "F"], False),  # --need missing
+    (["a", "--need", "n"], False),  # first missing
+    (["a", "F", "--many", "m", "--need", "n"], False),  # an append action
+    (["b", "x", "y"], False),  # a '*' positional
+])
+def test_a_flag_added_to_the_parser_is_read_from_its_own_action(monkeypatch, argv, plain):
+    monkeypatch.setattr(cli, "build_parser", functools.cache(toy_parser))
+    cli._argv_grammar.cache_clear()
+    try:
+        got, want = cli._plain_args(argv), argparse_reading(argv)
+    finally:
+        cli._argv_grammar.cache_clear()
+    assert (got is not None) == plain
+    assert got is None or vars(got) == want
+
+
+def test_a_parser_with_a_top_level_option_is_left_to_argparse(monkeypatch):
+    def parser_with_verbose():
+        parser = toy_parser()
+        parser.add_argument("--verbose", action="store_true")
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", functools.cache(parser_with_verbose))
+    cli._argv_grammar.cache_clear()
+    try:
+        assert cli._plain_args(["a", "F", "--need", "n"]) is None
+    finally:
+        cli._argv_grammar.cache_clear()
+
+
+def test_the_plain_reader_reads_sys_argv_when_given_none(monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["ketsim", "deutsch", "--oracle", "not"])
+    assert vars(cli._plain_args(None)) == argparse_reading(["deutsch", "--oracle", "not"])
+
+
+def test_the_argv_shapes_perfbench_sends_skip_argparse(tmp_path, capsys, monkeypatch):
+    graph, state = tmp_path / "h.graph", tmp_path / "zero.state"
+    graph.write_text(graph_text(standard_gate("H").matrix))
+    state.write_text("0 1\n")
+    calls = []
+    parser = cli.build_parser()
+    monkeypatch.setattr(parser, "parse_args", lambda *a, **k: calls.append(a) or
+                        argparse.ArgumentParser.parse_args(parser, *a, **k))
+    g, s = str(graph), str(state)
+    for argv in (
+        ["sample", g, "--state", s, "--steps", "2", "--shots", "10", "--seed", "3", "--regime", "quantum"],
+        ["evolve", g, "--state", s, "--steps", "2", "--regime", "quantum", "--format", "json"],
+        ["evolve", g, "--state", s, "--steps", "1", "--regime", "quantum", "--probabilities"],
+        ["scenario", "photons", "--format", "json"],
+        ["deutsch", "--oracle", "id", "--format", "text"],
+        ["validate", g, "--regime", "quantum"],
+    ):
+        assert run(capsys, *argv)[0] == 0
+    assert calls == []
+    assert run(capsys, "deutsch", "--oracle=id")[0] == 0  # the same run spelled otherwise
+    assert calls == [(["deutsch", "--oracle=id"],)]

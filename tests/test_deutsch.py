@@ -72,6 +72,15 @@ def test_every_oracle_is_unitary_and_self_inverse():
         assert np.array_equal(mat_mul(m, m), np.eye(4))
 
 
+def test_each_oracle_is_built_once_and_read_only():
+    for f in ALL_FUNCTIONS:
+        gate = oracle_matrix(f)
+        assert gate is oracle_matrix(f) is oracle_matrix(BinaryFunction(f.f0, f.f1))
+        assert gate.name == f"oracle({f.f0},{f.f1})" and not gate.matrix.flags.writeable
+        with pytest.raises(AttributeError):
+            gate.name = "changed"
+
+
 # --- failed attempts --------------------------------------------------------------
 
 def test_first_attempt_fixture():
@@ -157,7 +166,8 @@ def test_oracle_applied_exactly_once(monkeypatch):
     [run_deutsch, first_attempt, lambda f: second_attempt(f, 1)],
     ids=["run_deutsch", "first_attempt", "second_attempt"],
 )
-def test_each_query_builds_only_the_oracle_gate(monkeypatch, run):
+def test_each_query_builds_no_gate(monkeypatch, run):
+    """The oracles and Hadamard layers are built when the module loads, and every query shares them."""
     built = []
     check = Gate.__post_init__
 
@@ -169,7 +179,7 @@ def test_each_query_builds_only_the_oracle_gate(monkeypatch, run):
     for f in ALL_FUNCTIONS:
         built.clear()
         run(f)
-        assert built == [f"oracle({f.f0},{f.f1})"]
+        assert built == []
 
 
 def test_queried_stage_matches_brute_force_product():

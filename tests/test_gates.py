@@ -663,6 +663,24 @@ def test_a_product_past_its_bound_is_validated_and_kept_when_it_passes(monkeypat
     assert np.max(np.abs(got.matrix - u.matrix @ u.matrix @ u.matrix)) <= 1e-15
 
 
+def test_a_checked_gate_measures_its_deviation_once(monkeypatch):
+    calls = []
+    measure = ketsim.algebra._unitary_deviation
+
+    def spy(m):
+        calls.append(m.shape)
+        return measure(m)
+
+    monkeypatch.setattr(ketsim.algebra, "_unitary_deviation", spy)
+    monkeypatch.setattr(ketsim.gates, "_unitary_deviation", spy)
+    u = rotation(1 + 1e-10)
+    product = sequential(u, u)  # reads u's bound, and is not validated again
+    assert calls == [(2, 2)]
+    assert u._bound == 2 * (measure(u.matrix)[0] + 6 * np.finfo(float).eps)
+    assert_within_bound(u)
+    assert_within_bound(product)
+
+
 def test_identity_gates_are_told_by_their_matrix_not_their_name():
     not_named_i = Gate("I", standard_gate("NOT").matrix, 1, 1, quantum=True)
     assert np.array_equal(circuit_matrix(Circuit(1, [[not_named_i]])).matrix, [[0, 1], [1, 0]])
