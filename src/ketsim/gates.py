@@ -15,7 +15,6 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 
 import numpy as np
 
@@ -288,29 +287,31 @@ class Circuit:
         return sum(g.out_bits for g in self.layers[-1])
 
 
-# Narrower circuits are not cut.  Below 7 wires a gate's pass over the whole
-# matrix costs little more than the numpy call for it, so the walk, identity and
-# join a cut adds cost more than the smaller passes save (timed in CHANGES.md).
+# Narrower circuits and sides are not cut.  Below 7 wires a gate's pass over the
+# whole matrix costs little more than the numpy call for it, so the walk and join
+# a cut adds cost more than the smaller passes save (timed in CHANGES.md).
 _CUT_WIRES = 7
 
 
-def _factors(c: Circuit) -> list[tuple[int, tuple[tuple[Gate, ...], ...]]]:
-    """The circuit cut at every input wire that no gate of any layer crosses, top factor first.
+def _cut(wires: int, layers: tuple[tuple[Gate, ...], ...]) -> tuple[int, tuple[int, ...]] | None:
+    """Where to cut layers on ``wires`` input wires in two: (input wire, each layer's gate index there).
 
-    Returns (wires, layers) for each factor: its input wire count and its
-    slice of every layer.  A cut is followed from layer to layer by its
-    wire position, which classical gates move (below an AND on wires 0-1,
-    a cut at input wire 2 sits at wire 1 in the next layer).  One pass
-    over a layer's gates maps the running sums of their in_bits to (gate
-    index, running sum of out_bits); a cut survives the layer when its
-    position is one of those sums.  A circuit with no cut, or narrower
-    than ``_CUT_WIRES``, is its own single factor.
+    A cut between two input wires is free when no gate of any layer
+    crosses it.  It is followed from layer to layer by its wire position,
+    which classical gates move (below an AND on wires 0-1, a cut at input
+    wire 2 sits at wire 1 in the next layer).  One pass over a layer's
+    gates maps the running sums of their in_bits to (gate index, running
+    sum of out_bits); a cut survives the layer when its position is one of
+    those sums; where zero-wire gates make several gates start at one
+    wire, the cut falls before the last of them.  Of the free cuts, the
+    one whose sides are closest to equal is returned, the first of two
+    equally close.  None when no wire is free, or when there are fewer
+    than ``_CUT_WIRES`` wires.
     """
-    if c.wires < _CUT_WIRES:
-        return [(c.wires, c.layers)]
-    cuts = {p: (0, p) for p in range(1, c.wires)}  # input wire -> (gate index, wire) in the last layer
-    trail = []
-    for layer in c.layers:
+    if wires < _CUT_WIRES:
+        return None
+    cuts = {p: (p, ()) for p in range(1, wires)}  # input wire -> (wire in the next layer, gate indices)
+    for layer in layers:
         # the in-wire where each gate starts, and where the layer ends -> (gate index, out-wire)
         at, i, o = {}, 0, 0
         for k, g in enumerate(layer):
@@ -318,14 +319,11 @@ def _factors(c: Circuit) -> list[tuple[int, tuple[tuple[Gate, ...], ...]]]:
             i += g.in_bits
             o += g.out_bits
         at[i] = len(layer), o
-        cuts = {p: at[w] for p, (_, w) in cuts.items() if w in at}
+        cuts = {p: (at[w][1], index + (at[w][0],)) for p, (w, index) in cuts.items() if w in at}
         if not cuts:
-            return [(c.wires, c.layers)]
-        trail.append(cuts)
-    edges = [0, *cuts, c.wires]
-    splits = [[0, *(t[p][0] for p in cuts), len(layer)] for t, layer in zip(trail, c.layers)]
-    return [(edges[f + 1] - edges[f], tuple(layer[s[f]:s[f + 1]] for s, layer in zip(splits, c.layers)))
-            for f in range(len(edges) - 1)]
+            return None
+    p = min(cuts, key=lambda p: abs(2 * p - wires))
+    return p, cuts[p][1]
 
 
 def _contract(wires: int, layers: tuple[tuple[Gate, ...], ...]) -> tuple[np.ndarray, float]:
@@ -343,30 +341,20 @@ def _contract(wires: int, layers: tuple[tuple[Gate, ...], ...]) -> tuple[np.ndar
     return total, bound
 
 
-def _split(widths: list[int]) -> int:
-    """Where to cut factor widths in two: the first index whose sums above and below are closest."""
-    total = sum(widths)
-    above = list(accumulate(widths[:-1]))
-    return 1 + min(range(len(above)), key=lambda s: abs(2 * above[s] - total))
+def _matrix(wires: int, layers: tuple[tuple[Gate, ...], ...]) -> tuple[np.ndarray, float]:
+    """The matrix of layers on ``wires`` input wires and its bound: contracted whole, or cut in two.
 
-
-def _joined(parts: list[tuple[int, np.ndarray, float]]) -> tuple[int, np.ndarray, float]:
-    """The Kronecker product of (wires, matrix, bound) factors, top first, as (wires, matrix, bound).
-
-    The factors are split where the wires above and below are closest to
-    equal (``_split``), each side is joined the same way, and the two
-    halves are joined last.  So the one full-size join has two operands
-    of about 2^(n/2) rows, and ``_kron`` writes each of its rows in one
-    contiguous pass; a left-to-right chain would end on a narrow bottom
-    factor, whose join runs a short or strided inner loop.  Each join's
-    bound allows for its rounding, as ``parallel``'s does.
+    Cut by ``_cut``, it is the Kronecker product of the sides above and
+    below, each worked out the same way, and its bound allows for the
+    join's rounding as ``parallel``'s does.
     """
-    if len(parts) == 1:
-        return parts[0]
-    s = _split([wires for wires, _, _ in parts])
-    (top_wires, top, top_bound), (wires, below, below_bound) = _joined(parts[:s]), _joined(parts[s:])
-    wires += top_wires
-    return wires, _kron(top, below), _product_bound(top_bound, below_bound, 1, 2**wires)
+    cut = _cut(wires, layers)
+    if cut is None:
+        return _contract(wires, layers)
+    p, at = cut
+    top, top_bound = _matrix(p, tuple(layer[:k] for layer, k in zip(layers, at)))
+    below, below_bound = _matrix(wires - p, tuple(layer[k:] for layer, k in zip(layers, at)))
+    return _kron(top, below), _product_bound(top_bound, below_bound, 1, 2**wires)
 
 
 def circuit_matrix(c: Circuit) -> Gate:
@@ -384,13 +372,14 @@ def circuit_matrix(c: Circuit) -> Gate:
 
     Where no gate of any layer crosses a cut between two input wires,
     the circuit is the tensor product of the sub-circuits above and below
-    it, by the interchange law (A ⊗ B)(C ⊗ D) = AC ⊗ BD.  So the circuit
-    is cut at every such wire (``_factors``), each factor is contracted on
-    its own 2^w wires, and the factors are joined by Kronecker products in
-    a balanced tree (``_joined``): one 4^n pass for the last join, between
-    halves of about 2^(n/2) rows each, instead of one per gate.  Circuits
-    narrower than ``_CUT_WIRES`` are not cut.  The result agrees with the
-    per-gate product up to rounding, not bit for bit.
+    it, by the interchange law (A ⊗ B)(C ⊗ D) = AC ⊗ BD.  So a circuit of
+    ``_CUT_WIRES`` or more wires is cut once, at the free wire closest to
+    its middle (``_cut``).  Each side is contracted whole on its own 2^w
+    wires when narrower than ``_CUT_WIRES``, and cut again by the same
+    rule when not (``_matrix``).  The two sides are joined by one
+    Kronecker product, a 4^n pass between two matrices of about 2^(n/2)
+    rows, in place of a full-size pass per gate.  The result agrees with
+    the per-gate product up to rounding, not bit for bit.
 
     Each gate was checked when it was built, so the result is not
     validated again while it is sure to pass: every quantum gate carries
@@ -405,5 +394,5 @@ def circuit_matrix(c: Circuit) -> Gate:
     name = _identity_name(c.wires) + "".join(
         ">" + "|".join(g.name for g in layer) for layer in c.layers if layer)
     quantum = all(g.quantum for layer in c.layers for g in layer)
-    _, total, bound = _joined([(wires, *_contract(wires, layers)) for wires, layers in _factors(c)])
+    total, bound = _matrix(c.wires, c.layers)
     return _from_checked(name, total, c.wires, c.out_wires, quantum, bound)

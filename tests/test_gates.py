@@ -407,7 +407,26 @@ def test_circuit_matrix_skips_empty_layers_on_zero_wires():
     assert np.array_equal(got.matrix, np.eye(1))
 
 
-# --- circuit_matrix cut into factors at wires no gate crosses -------------------------
+# --- circuit_matrix cut at one balanced free wire -------------------------------------
+
+def stacked_parts(rng, blocks):
+    """Random sub-circuits of one depth, one per (wires, gate names) block, top first."""
+    depth = int(rng.integers(1, 5))
+    parts = []
+    for wires, names in blocks:
+        layers, width = [], wires
+        for _ in range(depth):
+            layers.append(random_layer(rng, width, names))
+            width = sum(g.out_bits for g in layers[-1])
+        parts.append(Circuit(wires, layers))
+    return parts
+
+
+def side_by_side(parts):
+    """The circuit running each part on its own wires, the first part on top."""
+    depth = len(parts[0].layers)
+    return Circuit(sum(p.wires for p in parts), [[g for p in parts for g in p.layers[t]] for t in range(depth)])
+
 
 def stacked_circuit(rng, blocks):
     """Random layers of each block's gates, the blocks side by side: (wires, gate names) each, top first.
@@ -415,13 +434,7 @@ def stacked_circuit(rng, blocks):
     No gate crosses from one block to the next, so the circuit can be cut
     at least between each pair of blocks.
     """
-    layers = [[] for _ in range(int(rng.integers(1, 5)))]
-    for width, names in blocks:
-        for layer in layers:
-            part = random_layer(rng, width, names)
-            layer += part
-            width = sum(g.out_bits for g in part)
-    return Circuit(sum(width for width, _ in blocks), layers)
+    return side_by_side(stacked_parts(rng, blocks))
 
 
 REAL_QUANTUM_GATES = ("H", "NOT", "I", "CNOT")
@@ -436,8 +449,25 @@ CUT_BLOCKS = {
 
 
 def cut_everywhere(monkeypatch):
-    """Let circuit_matrix cut circuits of any width, not only the wide ones it cuts by default."""
+    """Let circuit_matrix cut circuits and sides of any width, not only the wide ones it cuts by default."""
     monkeypatch.setattr(ketsim.gates, "_CUT_WIRES", 1)
+
+
+def cut(c):
+    return ketsim.gates._cut(c.wires, c.layers)
+
+
+def joins_of(c):
+    """circuit_matrix(c), and the (top, below) shapes of the Kronecker joins it made, in order."""
+    shapes = []
+
+    def spy(a, b):
+        shapes.append((a.shape, b.shape))
+        return ketsim.algebra._kron(a, b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ketsim.gates, "_kron", spy)
+        return circuit_matrix(c), shapes
 
 
 @pytest.mark.parametrize("kind", sorted(CUT_BLOCKS))
@@ -446,7 +476,7 @@ def test_a_circuit_cut_into_factors_matches_the_kronecker_reference(monkeypatch,
     if narrow_cuts:
         cut_everywhere(monkeypatch)
     rng = np.random.default_rng(sorted(CUT_BLOCKS).index(kind) + 157)
-    factor_counts = set()
+    join_counts = set()
     for t in range(40):
         if t % 4 == 0:  # a plain random circuit, often with no cut
             c = random_circuit(rng, "classical" if kind in ("shrinking", "classical") else "quantum")
@@ -454,13 +484,16 @@ def test_a_circuit_cut_into_factors_matches_the_kronecker_reference(monkeypatch,
             names = CUT_BLOCKS[kind]
             c = stacked_circuit(rng, [(int(rng.integers(1, 9 // len(names) + 1)), n) for n in names])
             if c.wires >= ketsim.gates._CUT_WIRES:
-                assert len(ketsim.gates._factors(c)) >= len(names)
-        factor_counts.add(len(ketsim.gates._factors(c)))
+                assert cut(c) is not None
         got = assert_matches_reference(c)
+        joins = joins_of(c)[1]
+        if narrow_cuts and t % 4:  # every side is cut again, at least down to the blocks
+            assert len(joins) >= len(CUT_BLOCKS[kind]) - 1
+        join_counts.add(len(joins))
         assert_within_bound(got)
         if kind == "complex" and t % 4:
             assert got.matrix.dtype == np.complex128
-    assert min(factor_counts) == 1 and max(factor_counts) > 1  # both the one-factor and the cut path ran
+    assert min(join_counts) == 0 and max(join_counts) > 0  # both the uncut and the cut path ran
 
 
 def test_a_cut_is_followed_through_gates_that_shrink_the_width(monkeypatch):
@@ -468,18 +501,117 @@ def test_a_cut_is_followed_through_gates_that_shrink_the_width(monkeypatch):
     and_, or_, not_ = (standard_gate(n) for n in ("AND", "OR", "NOT"))
     # the cut above input wire 2 sits above wire 1 after the AND, where layer 1 has a gate boundary too
     c = Circuit(4, [[and_, not_, not_], [not_, or_]])
-    assert ketsim.gates._factors(c) == [(2, ((and_,), (not_,))), (2, ((not_, not_), (or_,)))]
+    assert cut(c) == (2, (1, 1))
     c = Circuit(5, [[and_, not_, or_], [not_] * 3, [and_, not_]])
-    assert ketsim.gates._factors(c) == [(3, ((and_, not_), (not_, not_), (and_,))),
-                                        (2, ((or_,), (not_,), (not_,)))]
-    assert np.array_equal(circuit_matrix(c).matrix, reference_circuit_matrix(c).matrix)
+    assert cut(c) == (3, (2, 2, 1))
+    top, below = Circuit(3, [[and_, not_], [not_, not_], [and_]]), Circuit(2, [[or_], [not_], [not_]])
+    assert side_by_side([top, below]).layers == c.layers and cut(top) is None and cut(below) is None
+    got = circuit_matrix(c).matrix
+    assert np.array_equal(got, reference_circuit_matrix(c).matrix)
+    assert np.array_equal(got, np.kron(reference_circuit_matrix(top).matrix,
+                                       reference_circuit_matrix(below).matrix))
+    # gates with no output wire move a cut to the bottom or top edge of the next layer, where it holds
+    drop = Gate("drop", [[1.0, 1.0]], 1, 0, quantum=False)
+    for layers, at in (([[not_] * 4 + [drop] * 4, [not_] * 4], (4, 4)),
+                       ([[drop] * 4 + [not_] * 4, [not_] * 4], (4, 0))):
+        c = Circuit(8, layers)
+        assert cut(c) == (4, at)
+        assert np.array_equal(circuit_matrix(c).matrix, reference_circuit_matrix(c).matrix)
 
 
 def test_narrow_circuits_are_not_cut():
-    c = Circuit(ketsim.gates._CUT_WIRES - 1, [[H] * (ketsim.gates._CUT_WIRES - 1)])
-    assert ketsim.gates._factors(c) == [(c.wires, c.layers)]
-    wide = Circuit(ketsim.gates._CUT_WIRES, [[H] * ketsim.gates._CUT_WIRES])
-    assert len(ketsim.gates._factors(wide)) == wide.wires
+    n = ketsim.gates._CUT_WIRES
+    c = Circuit(n - 1, [[H] * (n - 1)])
+    assert cut(c) is None and joins_of(c)[1] == []
+    # a wide one is cut once; its sides, narrower than _CUT_WIRES, are contracted whole
+    wide = Circuit(n, [[H] * n])
+    assert cut(wide) == (n // 2, (n // 2,))
+    assert joins_of(wide)[1] == [((2 ** (n // 2),) * 2, (2 ** (n - n // 2),) * 2)]
+
+
+def test_zero_wire_gates_at_the_cut_match_the_reference():
+    i0, cnot = identity(0), standard_gate("CNOT")
+    # free only at input wire 4: three I(0) gates sit there in layer 0 and one in layer 1, more at
+    # the top and bottom edges; each boundary's I(0) gates fall to the side above it
+    c = Circuit(8, [[i0, i0, cnot, cnot, i0, i0, i0, cnot, cnot, i0],
+                    [i0, H, cnot, H, i0, H, cnot, H, i0, i0]])
+    assert cut(c) == (4, (7, 5))
+    got, joins = joins_of(c)
+    assert joins == [((16, 16), (16, 16))]
+    assert_matches_reference(c)
+    assert_within_bound(got)
+
+
+@pytest.mark.parametrize("narrow_cuts", [True, False])
+def test_zero_wire_gates_anywhere_match_the_reference(monkeypatch, narrow_cuts):
+    if narrow_cuts:
+        cut_everywhere(monkeypatch)
+    i0 = identity(0)
+    rng = np.random.default_rng(173)
+    for kind in sorted(CUT_BLOCKS) * 5:
+        c = stacked_circuit(rng, [(int(rng.integers(1, 4)), n) for n in CUT_BLOCKS[kind]])
+        layers = [list(layer) for layer in c.layers]
+        for layer in layers:  # several I(0) at a few gate boundaries, the two edges included
+            for k in sorted(rng.choice(len(layer) + 1, size=min(3, len(layer) + 1), replace=False))[::-1]:
+                layer[k:k] = [i0] * int(rng.integers(1, 4))
+        assert_within_bound(assert_matches_reference(Circuit(c.wires, layers)))
+
+
+def free_cuts(c):
+    """Every input wire no gate crosses, with each layer's gate index there: _cut's walk, restated slowly.
+
+    A cut at wire w of a layer falls before the last gate that starts at
+    w, so zero-wire gates there go to the side above.
+    """
+    free = {}
+    for p in range(1, c.wires):
+        w, index = p, []
+        for layer in c.layers:
+            starts = [k for k in range(len(layer) + 1) if sum(g.in_bits for g in layer[:k]) == w]
+            if not starts:
+                break
+            index.append(starts[-1])
+            w = sum(g.out_bits for g in layer[:starts[-1]])
+        else:
+            free[p] = tuple(index)
+    return free
+
+
+@pytest.mark.parametrize("narrow_cuts", [True, False])
+def test_the_cut_is_the_brute_force_one(monkeypatch, narrow_cuts):
+    if narrow_cuts:
+        cut_everywhere(monkeypatch)
+    rng = np.random.default_rng(179)
+    cuts = 0
+    for t in range(120):
+        blocks = CUT_BLOCKS[sorted(CUT_BLOCKS)[t % len(CUT_BLOCKS)]]
+        c = stacked_circuit(rng, [(int(rng.integers(1, 9 // len(blocks) + 1)), names) for names in blocks])
+        free = free_cuts(c)
+        if not free or c.wires < ketsim.gates._CUT_WIRES:
+            assert cut(c) is None
+            continue
+        p = min(free, key=lambda p: (abs(2 * p - c.wires), p))
+        assert cut(c) == (p, free[p])
+        # the two sides are circuits of their own, and the whole is their Kronecker product
+        top = Circuit(p, [layer[:k] for layer, k in zip(c.layers, free[p])])
+        below = Circuit(c.wires - p, [layer[k:] for layer, k in zip(c.layers, free[p])])
+        assert side_by_side([top, below]).layers == c.layers
+        want = np.kron(reference_circuit_matrix(top).matrix, reference_circuit_matrix(below).matrix)
+        assert np.max(np.abs(reference_circuit_matrix(c).matrix - want)) <= 1e-12
+        cuts += 1
+    assert cuts >= 30  # the comparison ran on cut circuits, not only on uncut ones
+
+
+def test_a_wide_side_is_cut_again():
+    cnot = standard_gate("CNOT")
+    # free only at input wires 2 and 8, equally balanced: the first is cut, and the 8-wire side
+    # below it is cut again at its wire 6
+    c = Circuit(10, [[cnot] * 5, [cnot, H, cnot, cnot, H, cnot]])
+    assert cut(c) == (2, (1, 1))
+    got, joins = joins_of(c)
+    assert joins == [((64, 64), (4, 4)), ((4, 4), (256, 256))]
+    assert np.max(np.abs(got.matrix - reference_circuit_matrix(c).matrix)) <= 1e-12
+    assert_within_bound(got)
 
 
 @pytest.mark.parametrize("shape_a, shape_b", [
@@ -499,13 +631,7 @@ def test_the_join_is_numpys_kron_bit_for_bit(shape_a, shape_b):
         assert got.tobytes() == want.tobytes()
 
 
-# --- the factors are joined in a balanced tree ----------------------------------------
-
-def left_to_right_join(c):
-    """The contracted factors of c joined top to bottom, one _kron each."""
-    parts = (ketsim.gates._contract(wires, layers)[0] for wires, layers in ketsim.gates._factors(c))
-    return reduce(ketsim.algebra._kron, parts)
-
+# --- the cut is at the most balanced free wire -----------------------------------------
 
 UNEVEN_WIDTHS = [(1, 2, 2, 1, 1, 1, 1), (1, 5, 1, 2), (3, 1, 4), (2, 1, 1, 1, 3), (1, 1, 6), (6, 1, 1),
                  (4, 2, 1)]
@@ -519,9 +645,11 @@ def test_the_balanced_join_matches_the_left_to_right_join(monkeypatch, narrow_cu
         cut_everywhere(monkeypatch)
     rng = np.random.default_rng(167 + len(names))
     for t in range(3 * len(UNEVEN_WIDTHS)):
-        c = stacked_circuit(rng, [(width, names) for width in UNEVEN_WIDTHS[t % len(UNEVEN_WIDTHS)]])
-        assert len(ketsim.gates._factors(c)) >= 3
-        got, want = circuit_matrix(c), left_to_right_join(c)
+        parts = stacked_parts(rng, [(width, names) for width in UNEVEN_WIDTHS[t % len(UNEVEN_WIDTHS)]])
+        c = side_by_side(parts)
+        assert cut(c) is not None
+        got = circuit_matrix(c)
+        want = reduce(np.kron, (reference_circuit_matrix(p).matrix for p in parts))
         assert got.matrix.dtype == want.dtype and got.matrix.shape == want.shape
         if "U" in names:
             assert np.max(np.abs(got.matrix - want)) <= 1e-15
@@ -530,26 +658,25 @@ def test_the_balanced_join_matches_the_left_to_right_join(monkeypatch, narrow_cu
         assert_within_bound(got)
 
 
-def test_the_top_split_is_the_most_balanced_one():
-    split = ketsim.gates._split
-    assert split([1, 2, 2, 1, 1, 1, 1]) == 3  # 5 wires above, 4 below
-    assert split([3, 1, 4]) == 2 and split([1, 8]) == split([8, 1]) == 1
-    assert split([1, 1, 1]) == 1  # of two equally balanced splits, the first
+def widths_cut(widths):
+    """``_cut`` of one layer of identity gates of these widths, top first."""
+    return cut(Circuit(sum(widths), [[identity(w) for w in widths]]))
 
 
-def test_the_last_join_is_between_the_two_halves(monkeypatch):
-    shapes = []
+def test_the_top_split_is_the_most_balanced_one(monkeypatch):
+    assert widths_cut([1, 2, 2, 1, 1, 1, 1]) == (5, (3,))  # 5 wires above, 4 below
+    assert widths_cut([3, 1, 4]) == (4, (2,))
+    assert widths_cut([1, 8]) == (1, (1,)) and widths_cut([8, 1]) == (8, (1,))
+    assert widths_cut([1] * 7) == (3, (3,))  # of two equally balanced cuts, the first
+    cut_everywhere(monkeypatch)
+    assert widths_cut([1, 1, 1]) == (1, (1,))
 
-    def spy(a, b):
-        shapes.append((a.shape, b.shape))
-        return ketsim.algebra._kron(a, b)
 
+def test_the_last_join_is_between_the_two_halves():
     cnot = standard_gate("CNOT")
     c = Circuit(9, [[H, cnot, cnot, H, H, H, H]])
-    assert [wires for wires, _ in ketsim.gates._factors(c)] == [1, 2, 2, 1, 1, 1, 1]
-    monkeypatch.setattr(ketsim.gates, "_kron", spy)
-    got = circuit_matrix(c)
-    assert len(shapes) == 6 and shapes[-1] == ((32, 32), (16, 16))
+    got, joins = joins_of(c)
+    assert joins == [((32, 32), (16, 16))]  # one cut, after 5 wires; both sides are contracted whole
     assert np.max(np.abs(got.matrix - reference_circuit_matrix(c).matrix)) <= 1e-12
 
 
