@@ -10,6 +10,8 @@ rounded); float and complex inputs follow numpy promotion.
 """
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 
 DEFAULT_TOL = 1e-9
@@ -124,6 +126,7 @@ def bool_mat_mul(a, b) -> np.ndarray:
 
 
 _KRON_ROW_ENTRIES = 4096  # the smallest output that ``_kron`` writes row by row
+_KRON_BLOCK_ENTRIES = 16384  # the smallest output that ``_kron`` writes block by block
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -144,6 +147,11 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     (8 x 8) ⊗ (8 x 8): 14.7 against 16.7 us), so numpy's inner loop runs
     over the last axis of the operands as given: b's columns, l adjacent
     entries per loop, or, when l < j, a's columns, j entries l apart.
+    From ``_KRON_BLOCK_ENTRIES`` output entries, a side of at most 4
+    entries (a one-wire gate, say) is joined block by block instead: one
+    multiply of the other side by each of its entries, into the
+    (i, k, j, l) view of the output (float64 (2 x 2) ⊗ (128 x 128): 48
+    against 85 us; below the floor, (2 x 2) ⊗ (32 x 32): 14 against 10 us).
     """
     (i, j), (k, l) = a.shape, b.shape
     if i >= 4 and k >= 4 and i * j * k * l >= _KRON_ROW_ENTRIES:
@@ -151,7 +159,14 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         rows_b = np.repeat(b[:, None, :], j, axis=1).reshape(k, j * l)
         return (rows_a * rows_b).reshape(i * k, j * l)
     out = np.empty((i, k, j, l), np.result_type(a, b))
-    if l < j:
+    if min(i * j, k * l) <= 4 and i * j * k * l >= _KRON_BLOCK_ENTRIES:
+        if i * j <= 4:  # block [r, :, c, :] of the output is a[r, c] · b
+            for r, c in product(range(i), range(j)):
+                np.multiply(a[r, c], b, out=out[r, :, c])
+        else:  # block [:, m, :, n] is a · b[m, n]
+            for m, n in product(range(k), range(l)):
+                np.multiply(a, b[m, n], out=out[:, m, :, n])
+    elif l < j:
         np.multiply(a[:, None, None, :], b[None, :, :, None], out=out.transpose(0, 1, 3, 2), order="C")
     else:
         np.multiply(a[:, None, :, None], b[None, :, None, :], out=out, order="C")
@@ -312,12 +327,21 @@ def _validate_deterministic(m: np.ndarray, limit: int | None) -> list[str]:
 
 
 def _validate_stochastic(m: np.ndarray, tol: float, limit: int | None) -> list[str]:
-    if np.iscomplexobj(m):
+    """The stochastic violations of ``m``: imaginary parts past ``tol``, or else entries outside
+    [0, 1] and row and column sums off 1 by more than ``tol``.
+
+    A clean matrix passes on whole-array reductions (the extremes of its
+    parts and of its sums' deviations); the listing of each violation's
+    indices is built only when one exists.
+    """
+    if np.iscomplexobj(m) and not -tol <= m.imag.min() <= m.imag.max() <= tol:
         unreal = np.argwhere(np.abs(m.imag) > tol)
-        if unreal.size:
-            return _listed([(unreal, lambda i, j: f"entry [{i},{j}] = {m[i, j]} is not real")], limit)
+        return _listed([(unreal, lambda i, j: f"entry [{i},{j}] = {m[i, j]} is not real")], limit)
     re = m.real.astype(float)
     rows, columns = re.sum(axis=1), re.sum(axis=0)
+    if (-tol <= re.min() and re.max() <= 1 + tol
+            and np.abs(rows - 1).max() <= tol and np.abs(columns - 1).max() <= tol):
+        return []
     return _listed([
         (np.argwhere((re < -tol) | (re > 1 + tol)),
          lambda i, j: f"entry [{i},{j}] = {re[i, j]} lies outside [0, 1]"),

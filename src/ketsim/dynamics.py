@@ -18,9 +18,10 @@ row of column j's 1, so a strict deterministic run of k clicks is that
 function raised to the k-th power by repeated squaring and one exact
 integer scatter: O(dim · log k).  A strict stochastic or quantum run
 clicks in blocks into one buffer and tests a block's click inputs
-together, with a margin that makes the block test stricter than the
-per-state check; only an input the block test does not pass gets the
-exact check, so every click's input is checked as if one at a time.
+together, in a few whole-block reductions and with a margin that makes
+the block test stricter than the per-state check; only an input the
+block test does not pass gets the exact check, so every click's input
+is checked as if one at a time.
 """
 from __future__ import annotations
 
@@ -211,21 +212,23 @@ def _checked_clicks(sys: RegimeSystem, x: np.ndarray, n: int) -> np.ndarray:
     """``n`` clicks of a strict stochastic or quantum system from a checked input ``x``, each
     click's output checked as the next click's input.
 
-    The clicks run in blocks through one buffer: row 0 holds a block's
-    input, row i the output of its i-th click, and ``_passes`` tests the
-    block's outputs together.  It passes only what ``_check_strict_state``
-    would return unchanged.  At the first output it does not pass, the run
+    The clicks run in blocks through one buffer, whose row views are made
+    once per run: row 0 holds a block's input, row i the output of its
+    i-th click, and ``_passes`` tests the block's outputs together.  It
+    passes only what ``_check_strict_state`` would return unchanged.  At
+    the first output it does not pass, the run
     rewinds to that output: the exact check refuses it, renormalises it or
     keeps it, as it would have one click at a time, and the next block
     starts there.
     """
     m, k, since = sys.matrix, 1, 0  # k: the next block's length
     buf = np.empty((min(n, _MAX_BLOCK) + 1, sys.dim), m.dtype)
+    rows = list(buf)  # the row views, made once per run
     buf[0] = x
     while n:
         k = min(k, n)
         for i in range(k):
-            np.dot(m, buf[i], out=buf[i + 1])
+            np.dot(m, rows[i], out=rows[i + 1])
         ok = _passes(sys, buf[1:k + 1])
         i = int(ok.argmin())  # the first output that does not pass, if any does not
         flagged = not ok[i]
@@ -243,19 +246,24 @@ def _passes(sys: RegimeSystem, rows: np.ndarray) -> np.ndarray:
     """A mask of the state rows that ``_check_strict_state`` would surely return unchanged.
 
     The check's range test is repeated exactly, with a tolerance ``eff``
-    of at most ``tol``.  Its sum or norm is computed in another order here,
-    so these are held ``slack`` inside ``eff``: two float sums of ``dim``
-    terms whose moduli add up to S differ by at most dim · 2**-52 · S, and S
-    is at most 2 + 2 · dim · eff for a state in range with total near 1, so
-    ``slack`` is 8 times that.  A quantum norm is within ``eff`` of 1 when
+    of at most ``tol``: on the whole block, and row by row only when the
+    block holds an entry out of range.  Its sum or norm is computed in
+    another order here (a stochastic block's row sums are one product
+    with a ones vector), so these are held ``slack`` inside ``eff``: two
+    float sums of ``dim`` terms whose moduli add up to S differ by at most
+    dim · 2**-52 · S, whatever their order, and S is at most
+    2 + 2 · dim · eff for a state in range with total near 1, so ``slack``
+    is 8 times that.  A quantum norm is within ``eff`` of 1 when
     its square is within [(1 - eff)**2, (1 + eff)**2].  A row holding nan or
     inf never passes.
     """
     eff, dim = min(sys.tol, _BLOCK_TOL), rows.shape[1]
     slack = dim * 2.0**-48 * (1 + dim * eff)
     if sys.regime == "stochastic":
-        return ((rows.min(axis=1) >= -eff) & (rows.max(axis=1) <= 1 + eff)
-                & (np.abs(rows.sum(axis=1) - 1) <= eff - slack))
+        ok = np.abs(rows @ np.ones(dim) - 1) <= eff - slack
+        if not (rows.min() >= -eff and rows.max() <= 1 + eff):  # some row is out of range: which
+            ok &= (rows.min(axis=1) >= -eff) & (rows.max(axis=1) <= 1 + eff)
+        return ok
     parts = rows.view(np.float64)
     squares = np.einsum("ij,ij->i", parts, parts)
     return (squares >= (1 - eff) ** 2 + slack) & (squares <= (1 + eff) ** 2 - slack)

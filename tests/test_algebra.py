@@ -4,13 +4,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ketsim.algebra import (
     DEFAULT_TOL,
     NAMED_VIOLATIONS,
     _kron,
+    _listed,
     adjoint,
     as_count,
     as_matrix,
@@ -249,19 +250,27 @@ def test_kron_first_factor_is_outer():
 
 
 def typed_matrix(rng, shape, dtype):
+    """Random entries of ``dtype``; a fifth of the float parts are signed zeros."""
     if dtype == "int64":
         return rng.integers(-9, 10, size=shape)
-    m = rng.normal(size=shape)
-    return m if dtype == "float64" else m + 1j * rng.normal(size=shape)
+    parts = [np.where(rng.random(shape) < 0.2, rng.choice([0.0, -0.0], shape), rng.normal(size=shape))
+             for _ in range(1 if dtype == "float64" else 2)]
+    return parts[0] if dtype == "float64" else parts[0] + 1j * parts[1]
 
 
 @pytest.mark.parametrize("dtype_a", ["int64", "float64", "complex128"])
 @pytest.mark.parametrize("dtype_b", ["int64", "float64", "complex128"])
 def test_kron_is_numpys_kron_byte_for_byte(dtype_a, dtype_b):
     rng = np.random.default_rng(19)
-    # the row path takes (8, 8) ⊗ (8, 8) and up, 4,096 output entries; (4, 4) ⊗ (8, 8) is below it
+    # the row path takes (8, 8) ⊗ (8, 8) and up, 4,096 output entries; (4, 4) ⊗ (8, 8) is below it.
+    # From 16,384 entries a side of at most 4 entries is joined block by block; (2, 4) and (3, 3)
+    # are not, and (2, 2) ⊗ (32, 32) is below that floor
     for shape_a, shape_b in (((2, 2), (8, 8)), ((8, 8), (2, 2)), ((4, 4), (8, 8)), ((5, 3), (4, 6)),
-                             ((1, 3), (4, 4)), ((8, 8), (8, 8)), ((4, 4), (16, 16)), ((4, 4), (4, 4))):
+                             ((1, 3), (4, 4)), ((8, 8), (8, 8)), ((4, 4), (16, 16)), ((4, 4), (4, 4)),
+                             ((2, 2), (128, 128)), ((128, 128), (2, 2)), ((1, 3), (96, 64)),
+                             ((64, 96), (3, 1)), ((2, 1), (128, 70)), ((1, 1), (130, 127)),
+                             ((2, 2), (64, 64)), ((2, 2), (32, 32)), ((2, 4), (128, 128)),
+                             ((128, 128), (4, 2)), ((3, 3), (64, 64)), ((64, 64), (3, 3))):
         a, b = typed_matrix(rng, shape_a, dtype_a), typed_matrix(rng, shape_b, dtype_b)
         got, want = kron(a, b), np.kron(a, b)
         assert got.dtype == want.dtype and got.shape == want.shape
@@ -625,6 +634,68 @@ def test_a_limited_validate_names_the_first_violations_and_counts_the_rest(regim
             with pytest.raises(ValueError) as listed:
                 refuse(stored, regime, DEFAULT_TOL, f"matrix fails {regime} validation: ")
             assert str(exc.value) == str(listed.value)
+
+
+def reference_validate_stochastic(m, tol, limit):
+    """The stochastic listing as it was before the clean path: every violation's indices listed."""
+    if np.iscomplexobj(m):
+        unreal = np.argwhere(np.abs(m.imag) > tol)
+        if unreal.size:
+            return _listed([(unreal, lambda i, j: f"entry [{i},{j}] = {m[i, j]} is not real")], limit)
+    re = m.real.astype(float)
+    rows, columns = re.sum(axis=1), re.sum(axis=0)
+    return _listed([
+        (np.argwhere((re < -tol) | (re > 1 + tol)),
+         lambda i, j: f"entry [{i},{j}] = {re[i, j]} lies outside [0, 1]"),
+        (np.argwhere(np.abs(rows - 1) > tol), lambda i: f"row {i} sums to {rows[i]}, expected 1"),
+        (np.argwhere(np.abs(columns - 1) > tol),
+         lambda j: f"column {j} sums to {columns[j]}, expected 1"),
+    ], limit)
+
+
+@st.composite
+def stochastic_candidates(draw):
+    """A doubly stochastic matrix that is clean, near its bounds, complex or broken, and a tol."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim, tol = draw(st.integers(1, 24)), draw(st.sampled_from([0.0, 1e-12, DEFAULT_TOL, 1e-3]))
+    # every entry at least 1 / (2 dim): a shift by about tol moves sums, not entries, out of range
+    m = (np.full((dim, dim), 1 / dim) + sum(w * np.eye(dim)[rng.permutation(dim)]
+                                           for w in rng.dirichlet(np.ones(3)))) / 2
+    kind = draw(st.sampled_from(["clean", "near", "low", "high", "complex", "unreal", "broken", "transposed"]))
+    ulps = draw(st.integers(-4, 4)) * 2.0**-52
+    i, j, i2, j2 = rng.integers(dim, size=4)
+    if kind == "near":  # sums at 1 ± tol within a few ulps: of row i and column j, or of columns
+        # j and j2 only (a shift within row i), or of rows i and i2 only; or an entry at an edge
+        shift, where = draw(st.sampled_from([-1, 1])) * (tol + ulps), draw(st.sampled_from("xrce"))
+        if where == "e":
+            m[i, j] = draw(st.sampled_from([-tol, 1 + tol])) * (1 + ulps)
+        else:
+            m[i, j] += shift
+            m[i, j2] -= shift if where == "r" else 0
+            m[i2, j] -= shift if where == "c" else 0
+    elif kind in ("low", "high") and dim >= 3:  # every sum kept at 1 and one bound broken, near tol
+        e = draw(st.sampled_from([0.5, 1, 1.5])) * tol * (1 + ulps)
+        m, k = np.eye(dim), rng.permutation(dim)[:3]
+        if kind == "low":  # an entry -e, every entry at most 1
+            m[np.ix_(k, k)] += e * np.array([[0, 1, -1], [-1, 0, 1], [1, -1, 0]])
+        else:  # an entry 1 + e, every entry at least -e / 2
+            m[np.ix_(k, k)] += e * (1.5 * np.eye(3) - 0.5)
+    elif kind == "complex":
+        m = m + 0j * m
+    elif kind == "unreal":
+        m = m + 1j * np.where(rng.random((dim, dim)) < 0.2, draw(st.sampled_from([-1, 1])) * (tol + ulps), 0)
+    elif kind == "broken":
+        m = np.where(rng.random((dim, dim)) < rng.random() / 2, rng.normal(size=(dim, dim)), m)
+    elif kind == "transposed":
+        m = m.T
+    return m, tol
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(stochastic_candidates(), st.sampled_from([None, 0, 1, NAMED_VIOLATIONS]))
+def test_a_stochastic_validate_is_the_full_listing(case, limit):
+    m, tol = case
+    assert validate(m, "stochastic", tol, limit=limit) == reference_validate_stochastic(m, tol, limit)
 
 
 def _non_hermitian_matrix(rng, dim):

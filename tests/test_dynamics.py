@@ -555,6 +555,52 @@ def test_the_block_test_sees_few_rows_per_click_kept(case, steps):
     assert sum(kept) <= max(steps - 1, 0) and sum(tested) <= 3 * sum(kept)
 
 
+def reference_passes(sys_, rows):
+    """``_passes`` with three reductions on each row, as it was before the whole-block test."""
+    eff, dim = min(sys_.tol, _BLOCK_TOL), rows.shape[1]
+    slack = dim * 2.0**-48 * (1 + dim * eff)
+    if sys_.regime == "stochastic":
+        return ((rows.min(axis=1) >= -eff) & (rows.max(axis=1) <= 1 + eff)
+                & (np.abs(rows.sum(axis=1) - 1) <= eff - slack))
+    parts = rows.view(np.float64)
+    squares = np.einsum("ij,ij->i", parts, parts)
+    return (squares >= (1 - eff) ** 2 + slack) & (squares <= (1 + eff) ** 2 - slack)
+
+
+@st.composite
+def stochastic_blocks(draw):
+    """A strict stochastic system and a block of 1-64 distributions of its dimension (1-64), up
+    to three of them pushed out of range, off sum or to nan by amounts near ``eff`` and ``slack``."""
+    n, dim = draw(st.integers(1, 64)), draw(st.integers(1, 64))
+    sys_ = RegimeSystem("stochastic", np.eye(dim), tol=draw(st.sampled_from([1e-9, 1e-6, 1e-3, 0.3])))
+    eff = min(sys_.tol, _BLOCK_TOL)
+    slack = dim * 2.0**-48 * (1 + dim * eff)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.dirichlet(np.ones(dim), size=n)
+    for r in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        ulps = 1 + draw(st.integers(-4, 4)) * 2.0**-52
+        how = draw(st.sampled_from(["low", "high", "sum", "nan"]))
+        if how == "sum":  # the sum lands near 1 ± (eff - slack), the block test's bound
+            near = draw(st.sampled_from([eff - 3 * slack, eff - slack, eff, eff + slack, eff + 3 * slack]))
+            rows[r] *= 1 + draw(st.sampled_from([-1, 1])) * near * ulps
+        else:
+            edge = {"low": -eff, "high": 1 + eff, "nan": np.nan}[how]
+            rows[r, rng.integers(dim)] = edge * ulps
+    return sys_, rows, eff, slack
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(stochastic_blocks())
+def test_the_whole_block_test_is_the_row_by_row_test(case):
+    # the row sums come from BLAS here and from numpy's sum in the reference: they may round apart,
+    # by less than slack, so only a row whose sum lies within slack of the bound may read otherwise
+    sys_, rows, eff, slack = case
+    ok, want = _passes(sys_, rows), reference_passes(sys_, rows)
+    assert ok.dtype == want.dtype == bool and ok.shape == want.shape == (len(rows),)
+    clear = ~(np.abs(np.abs(rows.sum(axis=1) - 1) - (eff - slack)) <= slack)
+    assert np.array_equal(ok[clear], want[clear])
+
+
 @settings(derandomize=True, max_examples=500, deadline=None)
 @given(st.integers(1, 129), st.booleans(), st.integers(-600, 600), st.integers(0, 2**32 - 1))
 def test_a_click_into_the_buffer_is_bitwise_the_matmul_click(n, complex_, exponent, seed):
@@ -611,6 +657,25 @@ def test_a_stochastic_run_is_refused_at_the_click_its_input_drifts_out(click):
     for steps in (click, 2 * _MAX_BLOCK + 1):
         want = outcome(reference_evolve, sys_, p, steps)
         assert want[0] == "refused" and "sums to" in want[1]
+        assert outcome(evolve, sys_, p, steps) == want
+
+
+@pytest.mark.parametrize("click", range(2, 2 * _MAX_BLOCK + 2))
+def test_a_stochastic_run_is_refused_at_the_click_an_entry_leaves_the_range(click):
+    # column 1 sends -d to vertex 0 and 1 + d back to itself, so entry 0 falls by about d / 2 a
+    # click while the sum stays 1: the input of `click` is the first with an entry below -tol
+    rng = np.random.default_rng(click)
+    tol, d, half = 1e-9, 0.9e-9, 0.5
+    m = np.zeros((6, 6))
+    m[:2, :2] = [[1, -d], [0, 1 + d]]
+    m[2:, 2:] = random_doubly_stochastic(rng, 4)
+    sys_ = RegimeSystem("stochastic", m, tol=tol)
+    first = -tol + half * ((1 + d) ** (click - 1.5) - 1)
+    p = np.concatenate([[first, half], rng.dirichlet(np.ones(4)) * (half - first)])
+    assert outcome(reference_evolve, sys_, p, click - 1)[0] == "ok"
+    for steps in (click, 2 * _MAX_BLOCK + 1):
+        want = outcome(reference_evolve, sys_, p, steps)
+        assert want == ("refused", "stochastic state entries must lie in [0, 1]")
         assert outcome(evolve, sys_, p, steps) == want
 
 
