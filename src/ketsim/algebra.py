@@ -6,7 +6,8 @@ to vertex ``i`` (columns are sources).  Under that convention ``m @ x``
 advances the state ``x`` by one time click.
 
 Integer inputs stay integer throughout (marble counts are never
-rounded); float and complex inputs follow numpy promotion.
+rounded), and integer products are exact or refused; float and complex
+inputs follow numpy promotion, and their products are finite or refused.
 """
 from __future__ import annotations
 
@@ -71,6 +72,35 @@ def as_tolerance(value) -> float:
     raise ValueError(f"tolerance must be at least 0 and finite, got {value}")
 
 
+def _limit(op, left: np.ndarray, dtype: np.dtype) -> float:
+    """L such that ``op(left, right)`` fits integer ``dtype`` whenever max |right| < L."""
+    a = np.abs(left, dtype=np.float64)  # in float64: int64 holds no |-2**63|
+    # n * 2**-50 is 8n ulps: more than the n + 4 that the float64 sum, products and quotient round
+    bound = float((a.sum(axis=1) if op is np.matmul else a).max()) * (1 + left.shape[-1] * 2.0**-50)
+    return (np.iinfo(dtype).max + 1.0) / bound if bound else np.inf
+
+
+def _product(op, left: np.ndarray, right: np.ndarray, limit: float | None = None) -> np.ndarray:
+    """``op(left, right)`` for np.matmul, np.kron or ``_kron``: exact and finite, or ValueError.
+
+    The one product rule: an integer product that ``_limit`` cannot clear is redone in Python
+    ints, and a result that is not finite is refused, with no numpy warning either way.
+    """
+    dtype, noun = np.result_type(left, right), "state" if right.ndim == 1 else "matrix"
+    if dtype.kind in "iu":  # an integer product would wrap silently
+        limit = _limit(op, left, dtype) if limit is None else limit
+        if float(np.abs(right, dtype=np.float64).max()) < limit:
+            return op(left, right)
+        out, info = op(left.astype(object), right.astype(object)), np.iinfo(dtype)  # in Python ints
+        if info.min <= out.min() and out.max() <= info.max:
+            return out.astype(dtype)
+        raise ValueError(f"{noun} entries exceed what {dtype} holds")
+    with np.errstate(over="ignore", invalid="ignore"):  # a result that is not finite is refused
+        out = op(left, right)
+    _require_finite_numbers(out, noun)
+    return out
+
+
 def mat_vec(m, x) -> np.ndarray:
     """Multiply matrix by state: one time click of the dynamics."""
     m = as_matrix(m)
@@ -80,7 +110,7 @@ def mat_vec(m, x) -> np.ndarray:
             f"dimension mismatch: matrix is {m.shape[0]}x{m.shape[1]}, "
             f"state has dimension {x.shape[0]}"
         )
-    return m @ x
+    return _product(np.matmul, m, x)
 
 
 def _product_operands(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -93,7 +123,7 @@ def _product_operands(a, b) -> tuple[np.ndarray, np.ndarray]:
 
 def mat_mul(a, b) -> np.ndarray:
     """Matrix product ``a @ b`` (apply ``b`` first, then ``a``)."""
-    return np.matmul(*_product_operands(a, b))
+    return _product(np.matmul, *_product_operands(a, b))
 
 
 def _non_boolean_entries(m: np.ndarray) -> np.ndarray:
@@ -180,7 +210,7 @@ def kron(a, b) -> np.ndarray:
     so the first argument is the most significant factor.  The result is
     np.kron's, byte for byte.
     """
-    return _kron(as_matrix(a), as_matrix(b))
+    return _product(_kron, as_matrix(a), as_matrix(b))
 
 
 def adjoint(m) -> np.ndarray:
@@ -337,7 +367,7 @@ def _validate_stochastic(m: np.ndarray, tol: float, limit: int | None) -> list[s
     if np.iscomplexobj(m) and not -tol <= m.imag.min() <= m.imag.max() <= tol:
         unreal = np.argwhere(np.abs(m.imag) > tol)
         return _listed([(unreal, lambda i, j: f"entry [{i},{j}] = {m[i, j]} is not real")], limit)
-    re = m.real.astype(float)
+    re = np.asarray(m.real, dtype=np.float64)  # in place: a float64 matrix is read, not copied
     rows, columns = re.sum(axis=1), re.sum(axis=0)
     if (-tol <= re.min() and re.max() <= 1 + tol
             and np.abs(rows - 1).max() <= tol and np.abs(columns - 1).max() <= tol):

@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import (DEFAULT_TOL, as_count, as_matrix, as_state, as_tolerance, euclidean_norm, refuse,
-                      unit)
+from .algebra import (DEFAULT_TOL, _kron, _limit, _product, _require_finite_numbers, as_count, as_matrix,
+                      as_state, as_tolerance, euclidean_norm, refuse, unit)
 
 MODES = ("strict", "unchecked")
 
@@ -126,32 +126,6 @@ def _check_strict_state(sys: RegimeSystem, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _limit(op, left: np.ndarray, dtype: np.dtype) -> float:
-    """L such that ``op(left, right)`` fits integer ``dtype`` whenever max |right| < L."""
-    a = np.abs(left, dtype=np.float64)  # in float64: int64 holds no |-2**63|
-    # n * 2**-50 is 8n ulps: more than the n + 4 that the float64 sum, products and quotient round
-    bound = float((a if op is np.kron else a.sum(axis=1)).max()) * (1 + left.shape[-1] * 2.0**-50)
-    return (np.iinfo(dtype).max + 1.0) / bound if bound else np.inf
-
-
-def _product(op, left, right, limit: float | None = None) -> np.ndarray:
-    """``op(left, right)`` for np.matmul or np.kron: exact and finite, or ValueError, no warning."""
-    dtype, noun = np.result_type(left, right), "state" if right.ndim == 1 else "matrix"
-    if dtype.kind in "iu":  # an integer product would wrap silently
-        limit = _limit(op, left, dtype) if limit is None else limit
-        if float(np.abs(right, dtype=np.float64).max()) < limit:
-            return op(left, right)
-        out, info = op(left.astype(object), right.astype(object)), np.iinfo(dtype)  # in Python ints
-        if info.min <= out.min() and out.max() <= info.max:
-            return out.astype(dtype)
-        raise ValueError(f"{noun} entries exceed what {dtype} holds")
-    with np.errstate(over="ignore", invalid="ignore"):  # a result that is not finite is refused
-        out = op(left, right)
-    if not np.all(np.isfinite(out)):
-        raise ValueError(f"{noun} entries must all be finite")
-    return out
-
-
 def step(sys: RegimeSystem, state) -> np.ndarray:
     """One time click: ``evolve(sys, state, 1)``."""
     return evolve(sys, state, 1)
@@ -191,8 +165,7 @@ def evolve(sys: RegimeSystem, state, steps: int) -> np.ndarray:
         else:
             for _ in range(steps):
                 x = sys.matrix @ x
-    if not np.all(np.isfinite(x)):
-        raise ValueError("state entries must all be finite")
+    _require_finite_numbers(x, "state")
     return x
 
 
@@ -293,7 +266,7 @@ def compose_parallel(a: RegimeSystem, b: RegimeSystem) -> RegimeSystem:
     if a.regime != b.regime:
         raise ValueError(f"cannot combine {a.regime} system with {b.regime} system")
     mode = "strict" if (a.mode == "strict" and b.mode == "strict") else "unchecked"
-    m = _product(np.kron, a.matrix, b.matrix)
+    m = _product(_kron, a.matrix, b.matrix)
     return RegimeSystem(a.regime, m, mode=mode, tol=min(a.tol, b.tol))
 
 

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import (DEFAULT_TOL, _kron, _unitary_deviation, as_count, as_matrix, as_state,
+from .algebra import (DEFAULT_TOL, _kron, _product, _unitary_deviation, as_count, as_matrix, as_state,
                       is_deterministic, refuse)
 
 _EPS = float(np.finfo(float).eps)  # 2**-52, twice the unit roundoff of float64
@@ -45,6 +45,9 @@ class Gate:
                 f"gate {self.name!r} with {self.in_bits} in / {self.out_bits} out wires "
                 f"needs a {want[0]}x{want[1]} matrix, got {m.shape[0]}x{m.shape[1]}"
             )
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
+        bound = math.inf  # ``_bound``: a bound on ||M† M - I||_2 (``_from_checked`` sets a product's)
         if self.quantum:
             if self.in_bits != self.out_bits:
                 raise ValueError(f"gate {self.name!r} flagged quantum but maps {self.in_bits} "
@@ -52,9 +55,15 @@ class Gate:
             deviation = _unitary_deviation(m)[0]  # measured once: validate's test, and ``_bound``'s
             if not deviation <= DEFAULT_TOL:
                 refuse(m, "quantum", DEFAULT_TOL, f"gate {self.name!r} flagged quantum but ")
-            object.__setattr__(self, "_deviation", deviation)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+            # The bound of a permutation is 0: its M† M is exact.  Any other gate has passed
+            # validate's test on ``deviation``, max |(M† M - I)[i, j]| up to the rounding of M† M:
+            # each entry is a sum of n = 2^in_bits products, so it errs by at most
+            # 2·n·eps·(1 + the true deviation) (``_product_bound``).  With ``deviation`` <=
+            # DEFAULT_TOL that puts every true entry within deviation + 3·n·eps, and a matrix's
+            # 2-norm is at most n times its largest entry.
+            n = m.shape[0]
+            bound = 0.0 if self._deterministic else n * (deviation + 3 * n * _EPS)
+        object.__setattr__(self, "_bound", bound)
 
     # Facts about the read-only matrix, each worked out once, when first asked for.
 
@@ -67,26 +76,6 @@ class Gate:
         """Exactly the real identity, so contracting it changes no value (only the sign of a zero)."""
         m = self.matrix
         return m.dtype == np.float64 and np.array_equal(m, np.eye(m.shape[1]))
-
-    @cached_property
-    def _bound(self) -> float:
-        """An upper bound on ||M† M - I||_2: 0 for a permutation, inf unless quantum.
-
-        Set when a product is built from its parts (``_from_checked``).  A
-        gate checked on its own has passed ``validate``'s test on the
-        deviation ``dev`` measured when it was built, max |(M† M - I)[i, j]|
-        up to the rounding of M† M: each entry is a sum of N = 2^in_bits
-        products, so it errs by at most 2·N·eps·(1 + the true deviation)
-        (``_product_bound``).  With ``dev`` <= DEFAULT_TOL that puts every
-        true entry within ``dev + 3·N·eps``, and a matrix's 2-norm is at
-        most N times its largest entry.  A permutation's M† M is exact.
-        """
-        if not self.quantum:
-            return math.inf
-        if self._deterministic:
-            return 0.0
-        n = self.matrix.shape[0]
-        return n * (self._deviation + 3 * n * _EPS)
 
 
 def _grown(a: float, b: float) -> float:
@@ -130,8 +119,9 @@ def _from_checked(name: str, m: np.ndarray, in_bits: int, out_bits: int, quantum
 
     A quantum product whose ``bound`` (``_product_bound``) is within
     DEFAULT_TOL passes ``validate``, so it is not checked again; past it,
-    it is checked as any new gate is.  Any product is checked to be finite,
-    as ``Gate`` checks it, since finite parts can multiply past the float range.
+    it is checked as any new gate is.  A classical product is checked to be
+    finite, as ``Gate`` checks it, since finite parts can multiply past the
+    float range (``sequential`` and ``parallel`` refuse it sooner, in ``_product``).
     """
     if not quantum:
         as_matrix(m)
@@ -212,7 +202,7 @@ def sequential(first: Gate, second: Gate) -> Gate:
         )
     return _from_checked(
         f"{first.name}>{second.name}",
-        second.matrix @ first.matrix,
+        _product(np.matmul, second.matrix, first.matrix),
         first.in_bits,
         second.out_bits,
         first.quantum and second.quantum,
@@ -225,7 +215,7 @@ def parallel(top: Gate, bottom: Gate) -> Gate:
     in_bits = top.in_bits + bottom.in_bits
     return _from_checked(
         f"{top.name}|{bottom.name}",
-        _kron(top.matrix, bottom.matrix),
+        _product(_kron, top.matrix, bottom.matrix),
         in_bits,
         top.out_bits + bottom.out_bits,
         top.quantum and bottom.quantum,
@@ -387,12 +377,14 @@ def circuit_matrix(c: Circuit) -> Gate:
     with an allowance for the rounding of each contraction and each join
     (as ``parallel`` allows for it), add up to a bound on the result.  A
     quantum result whose bound exceeds DEFAULT_TOL is validated as any
-    new gate is, and refused with the same message.
+    new gate is, and refused with the same message.  A classical result
+    that is not finite is refused, with no numpy warning.
     """
     if not c.layers:
         return identity(c.wires)
     name = _identity_name(c.wires) + "".join(
         ">" + "|".join(g.name for g in layer) for layer in c.layers if layer)
     quantum = all(g.quantum for layer in c.layers for g in layer)
-    total, bound = _matrix(c.wires, c.layers)
+    with np.errstate(over="ignore", invalid="ignore"):  # a result that is not finite is refused below
+        total, bound = _matrix(c.wires, c.layers)
     return _from_checked(name, total, c.wires, c.out_wires, quantum, bound)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ketsim.algebra import adjoint, as_state, bool_mat_mul, mat_vec, norm, normalize, validate
+from ketsim.algebra import adjoint, as_state, bool_mat_mul, kron, mat_mul, mat_vec, norm, normalize, validate
 from ketsim.dynamics import (
     _BLOCK_TOL,
     _MAX_BLOCK,
@@ -29,6 +29,7 @@ from ketsim.experiments import (
     STOCHASTIC_MATRIX,
     UNITARY_MATRIX,
 )
+from ketsim.gates import Circuit, Gate, circuit_matrix, parallel, sequential
 
 
 def random_function_graph(rng, n):
@@ -774,6 +775,7 @@ DOUBLING = unchecked("deterministic", [[2]])
 TWO_TO_62 = unchecked("deterministic", [[2**62]])
 HUGE = unchecked("stochastic", [[1e200]])
 FOUR_INTO_ONE = [[1, 1, 1, 1], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]  # a 0/1 function graph
+BIG_GATE = Gate("big", [[1e300, 0], [0, 1]], 1, 1, quantum=False)
 
 
 @pytest.mark.parametrize(
@@ -793,9 +795,22 @@ FOUR_INTO_ONE = [[1, 1, 1, 1], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]  # a 0/
         (lambda: state_tensor([1e200], [1e200]), "finite"),
         (lambda: compose_sequential(HUGE, HUGE), "finite"),
         (lambda: compose_parallel(HUGE, HUGE), "finite"),
+        (lambda: mat_mul([[2**61, 2**61]], [[1], [1]]), [[2**62]]),
+        (lambda: kron([[2**62]], [[-2]]), [[-(2**63)]]),
+        (lambda: mat_mul([[2**62]], [[4]]), "int64"),
+        (lambda: mat_vec([[2**62]], [4]), "int64"),
+        (lambda: kron([[2**62]], [[4]]), "int64"),
+        (lambda: mat_mul([[1e200]], [[1e200]]), "finite"),
+        (lambda: mat_vec([[1e200]], [1e200]), "finite"),
+        (lambda: kron([[1e200]], [[1e200]]), "finite"),
+        (lambda: sequential(BIG_GATE, BIG_GATE), "finite"),
+        (lambda: parallel(BIG_GATE, BIG_GATE), "finite"),
+        (lambda: circuit_matrix(Circuit(1, [[BIG_GATE], [BIG_GATE]])), "finite"),
     ],
     ids=["composed-clicks", "composed-weights", "2^62", "near-int64", "four-into-one", "int64-min",
-         "evolve-wrap", "parallel-wrap", "tensor-wrap", "tensor-inf", "sequential-inf", "parallel-inf"],
+         "evolve-wrap", "parallel-wrap", "tensor-wrap", "tensor-inf", "sequential-inf", "parallel-inf",
+         "mat_mul-2^62", "kron-int64-min", "mat_mul-wrap", "mat_vec-wrap", "kron-wrap", "mat_mul-inf",
+         "mat_vec-inf", "kron-inf", "gate-sequential-inf", "gate-parallel-inf", "circuit-inf"],
 )
 def test_products_are_exact_or_refused_without_a_warning(run, want):
     with warnings.catch_warnings(record=True) as caught:
@@ -883,6 +898,44 @@ def returned(run, *args):
 def exact(a):
     """``a`` as Python numbers, whose integer arithmetic neither wraps nor rounds."""
     return np.asarray(a).astype(object)
+
+
+PRODUCTS = {"mat_mul": (mat_mul, np.matmul), "mat_vec": (mat_vec, np.matmul), "kron": (kron, np.kron)}
+
+
+@st.composite
+def product_cases(draw):
+    """An algebra product and its operands, each of edge integers or of edge floats."""
+    name = draw(st.sampled_from(sorted(PRODUCTS)))
+    sizes = st.integers(1, 3)
+    rows, columns = draw(sizes), draw(sizes)
+    if name == "mat_vec":
+        shape = (columns,)
+    else:
+        shape = (columns if name == "mat_mul" else draw(sizes), draw(sizes))
+    a = drawn_array(draw, draw(st.sampled_from([EDGE_INTEGERS, EDGE_FLOATS])), rows, columns)
+    b = drawn_array(draw, draw(st.sampled_from([EDGE_INTEGERS, EDGE_FLOATS])), *shape)
+    return name, a, b
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(product_cases())
+def test_an_algebra_product_is_exact_and_finite_or_refused(case):
+    name, a, b = case
+    run, plain = PRODUCTS[name]
+    out = returned(run, a, b)
+    if np.result_type(a, b).kind in "iu":  # the Python-int product, when int64 holds it
+        want = plain(exact(a), exact(b))
+        fits = all(-(2**63) <= v < 2**63 for v in want.ravel())
+        assert (out is not None) == fits
+        if fits:
+            assert out.dtype == np.int64 and out.tolist() == want.tolist()
+    else:  # numpy's own product, bit for bit, when it is finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = plain(a, b)
+        assert (out is not None) == bool(np.all(np.isfinite(want)))
+        if out is not None:
+            assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
 
 
 def assert_exact(out, want):
