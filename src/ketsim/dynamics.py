@@ -21,7 +21,9 @@ clicks in blocks into one buffer and tests a block's click inputs
 together, in a few whole-block reductions and with a margin that makes
 the block test stricter than the per-state check; only an input the
 block test does not pass gets the exact check, so every click's input
-is checked as if one at a time.
+is checked as if one at a time.  The block test's constants are set once
+per system, when it is built, and a run binds its product once, so a
+click costs one BLAS call.
 """
 from __future__ import annotations
 
@@ -38,7 +40,8 @@ _DYNAMIC_REGIMES = ("deterministic", "stochastic", "quantum")
 
 # A strict stochastic or quantum run clicks in blocks of up to _MAX_BLOCK clicks (a buffer of at
 # most 64 KiB at dim 64), starting at one: a run of a few clicks costs what one click at a time
-# would.  A clean block doubles the next; a flagged click ends its block.
+# would.  A clean block doubles the next; a flagged click ends its block.  The block test's
+# constants are set once per system (RegimeSystem._bounds), and a run binds its product once.
 _MAX_BLOCK = 64
 _BLOCK_TOL = 2.0**-10  # the block test's tolerance is at most this: a tighter test only flags more
 
@@ -66,6 +69,7 @@ class RegimeSystem:
     mode: str = "strict"
     tol: float = DEFAULT_TOL
     _dst: np.ndarray | None = field(default=None, init=False, repr=False)  # strict deterministic
+    _bounds: tuple | None = field(default=None, init=False, repr=False)  # strict stochastic or quantum
 
     def __post_init__(self):
         if self.regime not in _DYNAMIC_REGIMES:
@@ -87,6 +91,8 @@ class RegimeSystem:
             dst = m.argmax(axis=0)
             dst.setflags(write=False)
             object.__setattr__(self, "_dst", dst)
+        elif self.mode == "strict":
+            object.__setattr__(self, "_bounds", _block_bounds(self.regime, self.tol, m.shape[0]))
 
     @property
     def dim(self) -> int:
@@ -185,23 +191,29 @@ def _checked_clicks(sys: RegimeSystem, x: np.ndarray, n: int) -> np.ndarray:
     """``n`` clicks of a strict stochastic or quantum system from a checked input ``x``, each
     click's output checked as the next click's input.
 
-    The clicks run in blocks through one buffer, whose row views are made
-    once per run: row 0 holds a block's input, row i the output of its
-    i-th click, and ``_passes`` tests the block's outputs together.  It
-    passes only what ``_check_strict_state`` would return unchanged.  At
-    the first output it does not pass, the run
-    rewinds to that output: the exact check refuses it, renormalises it or
-    keeps it, as it would have one click at a time, and the next block
-    starts there.
+    With ``n == 0`` it returns ``x`` (a strided ``x`` as a contiguous copy,
+    as the buffer held it) and builds no buffer.  Otherwise the clicks run
+    in blocks through one buffer: row 0 holds a block's input, row i the
+    output of its i-th click, and ``_passes`` tests the block's outputs
+    together.  It passes only what ``_check_strict_state`` would return
+    unchanged.  A run binds ``m.dot`` and pairs each buffer row with the
+    next once, so a click is one call ``dot(a, b)``, the same BLAS product
+    as ``np.dot(m, a, out=b)``.  At the first output the block test does
+    not pass, the run rewinds to that output: the exact check refuses it,
+    renormalises it or keeps it, as it would have one click at a time, and
+    the next block starts there.
     """
+    if not n:
+        return np.ascontiguousarray(x)
     m, k, since = sys.matrix, 1, 0  # k: the next block's length
     buf = np.empty((min(n, _MAX_BLOCK) + 1, sys.dim), m.dtype)
     rows = list(buf)  # the row views, made once per run
+    dot, pairs = m.dot, list(zip(rows, rows[1:]))  # (input row, output row) of each click in a block
     buf[0] = x
     while n:
         k = min(k, n)
-        for i in range(k):
-            np.dot(m, rows[i], out=rows[i + 1])
+        for a, b in pairs[:k]:
+            dot(a, b)
         ok = _passes(sys, buf[1:k + 1])
         i = int(ok.argmin())  # the first output that does not pass, if any does not
         flagged = not ok[i]
@@ -213,6 +225,18 @@ def _checked_clicks(sys: RegimeSystem, x: np.ndarray, n: int) -> np.ndarray:
         else:
             k, since = min(2 * k, _MAX_BLOCK), since + taken
     return buf[0]
+
+
+def _block_bounds(regime: str, tol: float, dim: int) -> tuple:
+    """The constants of ``_passes`` for a strict stochastic or quantum system, set once when it is
+    built: ``(eff, eff - slack, ones)`` or ``((1 - eff)**2 + slack, (1 + eff)**2 - slack)``."""
+    eff = min(tol, _BLOCK_TOL)
+    slack = dim * 2.0**-48 * (1 + dim * eff)
+    if regime == "stochastic":
+        ones = np.ones(dim)
+        ones.setflags(write=False)
+        return eff, eff - slack, ones
+    return (1 - eff) ** 2 + slack, (1 + eff) ** 2 - slack
 
 
 def _passes(sys: RegimeSystem, rows: np.ndarray) -> np.ndarray:
@@ -228,18 +252,19 @@ def _passes(sys: RegimeSystem, rows: np.ndarray) -> np.ndarray:
     2 + 2 · dim · eff for a state in range with total near 1, so ``slack``
     is 8 times that.  A quantum norm is within ``eff`` of 1 when
     its square is within [(1 - eff)**2, (1 + eff)**2].  A row holding nan or
-    inf never passes.
+    inf never passes.  The constants are the system's ``_bounds``
+    (``_block_bounds``), set once when it was built.
     """
-    eff, dim = min(sys.tol, _BLOCK_TOL), rows.shape[1]
-    slack = dim * 2.0**-48 * (1 + dim * eff)
     if sys.regime == "stochastic":
-        ok = np.abs(rows @ np.ones(dim) - 1) <= eff - slack
+        eff, within, ones = sys._bounds
+        ok = np.abs(rows @ ones - 1) <= within
         if not (rows.min() >= -eff and rows.max() <= 1 + eff):  # some row is out of range: which
             ok &= (rows.min(axis=1) >= -eff) & (rows.max(axis=1) <= 1 + eff)
         return ok
+    low, high = sys._bounds
     parts = rows.view(np.float64)
     squares = np.einsum("ij,ij->i", parts, parts)
-    return (squares >= (1 - eff) ** 2 + slack) & (squares <= (1 + eff) ** 2 - slack)
+    return (squares >= low) & (squares <= high)
 
 
 def compose_sequential(first: RegimeSystem, second: RegimeSystem) -> RegimeSystem:

@@ -224,14 +224,14 @@ def parallel(top: Gate, bottom: Gate) -> Gate:
 
 
 def apply(g: Gate, state) -> np.ndarray:
-    """Send a state through a gate."""
+    """Send a state through a gate: the product ``g.matrix @ state``, finite or refused."""
     x = np.asarray(state)
     if x.ndim != 1 or x.shape[0] != 2**g.in_bits:
         got = x.shape[0] if x.ndim == 1 else f"ndim-{x.ndim} array"
         raise ValueError(
             f"gate {g.name!r} expects a state of dimension {2**g.in_bits}, got {got}"
         )
-    return g.matrix @ as_state(x)
+    return _product(np.matmul, g.matrix, as_state(x))
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ketsim.algebra import adjoint, as_state, bool_mat_mul, kron, mat_mul, mat_vec, norm, normalize, validate
+from ketsim.algebra import DEFAULT_TOL, adjoint, as_state, bool_mat_mul, kron, mat_mul, mat_vec, norm, normalize, validate
 from ketsim.dynamics import (
     _BLOCK_TOL,
     _MAX_BLOCK,
+    MODES,
     RegimeSystem,
     _check_strict_state,
+    _checked_clicks,
     _passes,
     compose_parallel,
     compose_sequential,
@@ -29,7 +31,7 @@ from ketsim.experiments import (
     STOCHASTIC_MATRIX,
     UNITARY_MATRIX,
 )
-from ketsim.gates import Circuit, Gate, circuit_matrix, parallel, sequential
+from ketsim.gates import Circuit, Gate, apply, circuit_matrix, parallel, sequential
 
 
 def random_function_graph(rng, n):
@@ -554,6 +556,8 @@ def test_the_block_test_sees_few_rows_per_click_kept(case, steps):
     with mock.patch("ketsim.dynamics._passes", counting_passes):
         outcome(evolve, sys_, x, steps)
     assert sum(kept) <= max(steps - 1, 0) and sum(tested) <= 3 * sum(kept)
+    # a run past one click tests its blocks through the module's _passes, so the spy sees them
+    assert bool(tested) == (steps >= 2)
 
 
 def reference_passes(sys_, rows):
@@ -611,10 +615,68 @@ def test_a_click_into_the_buffer_is_bitwise_the_matmul_click(n, complex_, expone
     m, x = rng.standard_normal((n, n)) * 2.0**exponent, rng.standard_normal(n)
     if complex_:
         m, x = m + 1j * rng.standard_normal((n, n)) * 2.0**exponent, x + 1j * rng.standard_normal(n)
-    buf = np.empty((2, n), m.dtype)
+    buf = np.empty((4, n), m.dtype)
     buf[0] = x
     np.dot(m, buf[0], out=buf[1])
     assert buf[1].tobytes() == np.matmul(m, buf[0]).tobytes() == (m @ x).tobytes()
+    # the loop's own form, m.dot bound once and one call per (input row, output row) pair, is the
+    # np.dot click bit for bit, click after click; past one click the entries may overflow, as
+    # under evolve's errstate
+    rows, plain = list(buf), buf.copy()
+    dot = m.dot
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (a, b) in enumerate(zip(rows, rows[1:])):
+            dot(a, b)
+            np.dot(m, plain[i], out=plain[i + 1])
+            assert b.tobytes() == plain[i + 1].tobytes()
+
+
+def per_block_bounds(sys_):
+    """The block test's constants as ``_passes`` worked them out for each block before they were
+    set once per system."""
+    eff, dim = min(sys_.tol, _BLOCK_TOL), sys_.dim
+    slack = dim * 2.0**-48 * (1 + dim * eff)
+    if sys_.regime == "stochastic":
+        return eff, eff - slack, np.ones(dim)
+    return (1 - eff) ** 2 + slack, (1 + eff) ** 2 - slack
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-300, 1e-9, DEFAULT_TOL, 1e-3, 0.3, 2.0])
+def test_the_block_bounds_are_set_once_for_strict_stochastic_and_quantum_systems(tol):
+    # permutations pass every regime at every tol: the bounds depend on the regime, tol and dim only
+    rng = np.random.default_rng(83)
+    for n in (1, 2, 6, 64):
+        m = np.eye(n, dtype=np.int64)[rng.permutation(n)]
+        for regime in ("deterministic", "stochastic", "quantum"):
+            for mode in MODES:
+                sys_ = RegimeSystem(regime, m, mode=mode, tol=tol)
+                two = RegimeSystem(regime, np.eye(2), mode=mode, tol=tol)
+                for made in (sys_, compose_sequential(sys_, sys_), compose_parallel(sys_, two)):
+                    if mode == "unchecked" or regime == "deterministic":
+                        assert made._bounds is None
+                        continue
+                    bounds, want = made._bounds, per_block_bounds(made)
+                    assert len(bounds) == len(want)
+                    for got, expected in zip(bounds, want):  # bit for bit, the ones vector's dtype too
+                        assert np.asarray(got).dtype == np.asarray(expected).dtype
+                        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+                    if regime == "stochastic":
+                        assert bounds[2].shape == (made.dim,) and not bounds[2].flags.writeable
+
+
+def test_a_run_without_checked_clicks_builds_no_buffer():
+    rng = np.random.default_rng(89)
+    for regime in ("stochastic", "quantum"):
+        sys_ = RegimeSystem(regime, RANDOM_MATRIX[regime](rng, 6))
+        x = _check_strict_state(sys_, random_start(rng, regime, 6))
+        assert _checked_clicks(sys_, x, 0) is x
+        # a strided state is multiplied as the buffer held it, contiguous: BLAS's bits, not numpy's
+        # own loop, which sums a reversed view in another order
+        for view in (x[::-1], np.repeat(x, 2)[::2]):
+            assert not view.flags.c_contiguous
+            contiguous = np.ascontiguousarray(view)
+            assert _checked_clicks(sys_, view, 0).tobytes() == contiguous.tobytes()
+            assert evolve(sys_, view, 1).tobytes() == (sys_.matrix @ contiguous).tobytes()
 
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-3, 0.3])
@@ -806,11 +868,13 @@ BIG_GATE = Gate("big", [[1e300, 0], [0, 1]], 1, 1, quantum=False)
         (lambda: sequential(BIG_GATE, BIG_GATE), "finite"),
         (lambda: parallel(BIG_GATE, BIG_GATE), "finite"),
         (lambda: circuit_matrix(Circuit(1, [[BIG_GATE], [BIG_GATE]])), "finite"),
+        (lambda: apply(BIG_GATE, [1e300, 0]), "state entries must all be finite"),
     ],
     ids=["composed-clicks", "composed-weights", "2^62", "near-int64", "four-into-one", "int64-min",
          "evolve-wrap", "parallel-wrap", "tensor-wrap", "tensor-inf", "sequential-inf", "parallel-inf",
          "mat_mul-2^62", "kron-int64-min", "mat_mul-wrap", "mat_vec-wrap", "kron-wrap", "mat_mul-inf",
-         "mat_vec-inf", "kron-inf", "gate-sequential-inf", "gate-parallel-inf", "circuit-inf"],
+         "mat_vec-inf", "kron-inf", "gate-sequential-inf", "gate-parallel-inf", "circuit-inf",
+         "gate-apply-inf"],
 )
 def test_products_are_exact_or_refused_without_a_warning(run, want):
     with warnings.catch_warnings(record=True) as caught:

@@ -1,4 +1,5 @@
 """Gate library, truth tables, and circuit composition."""
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -274,6 +275,22 @@ def test_apply_dimension_check():
 def test_apply_refuses_a_bad_state(state, message):
     with pytest.raises(ValueError, match=message):
         apply(H, state)
+
+
+def test_apply_is_the_plain_product_or_refused_with_warnings_as_errors():
+    # apply follows the one product rule: numpy's own bits when finite, refused otherwise, and
+    # no numpy warning either way (as under python -W error)
+    rng = np.random.default_rng(67)
+    big = Gate("big", [[1e300, 0], [0, 1]], 1, 1, quantum=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bits in (1, 2, 3):
+            g, x = random_gate(rng, bits, bits), rng.normal(size=2**bits) * 2.0 ** rng.integers(-500, 500)
+            assert apply(g, x).tobytes() == (g.matrix @ x).tobytes()
+        assert apply(big, [1.0, 2.0]).tolist() == [1e300, 2.0]
+        for state in ([1e300, 0], [-1e300, 1]):
+            with pytest.raises(ValueError, match="^state entries must all be finite$"):
+                apply(big, state)
 
 
 def test_not_flips_bits():
