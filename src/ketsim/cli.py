@@ -365,8 +365,7 @@ def cmd_evolve(args) -> int:
         print(line)
     if args.probabilities:
         if probs is None:
-            print("error: zero state has no probabilities", file=sys.stderr)
-            return 1
+            raise ValueError("zero state has no probabilities")
         _print_probabilities(probs)
     return 0
 
@@ -393,8 +392,7 @@ def cmd_scenario(args) -> int:
             print(name)
         return 0
     if args.name is None:
-        print("error: scenario name required (or --list)", file=sys.stderr)
-        return 2
+        raise ParseFailure("scenario name required (or --list)")
     report = run_scenario(scenario(args.name))
     if args.format == "json":
         _emit_json(_scenario_json(report))

@@ -50,6 +50,7 @@ from ketsim.measurement import (
     random_source,
     spectral_decompose,
 )
+from reference import random_doubly_stochastic, random_function_graph, random_unitary
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -155,27 +156,6 @@ def test_criterion_10_failed_attempts_behave_as_derived():
     print("criterion 10 PASS - superposed query scrambles; phase kickback signs all match")
 
 
-def _random_unitary(rng, n):
-    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
-
-
-def _random_doubly_stochastic(rng, n):
-    m = np.zeros((n, n))
-    for w in rng.dirichlet(np.ones(4)):
-        m += w * np.eye(n)[rng.permutation(n)]
-    return m
-
-
-def _random_function_graph(rng, n):
-    m = np.zeros((n, n), dtype=np.int64)
-    for src in range(n):
-        m[int(rng.integers(n)), src] = 1
-    return m
-
-
 def test_criterion_11_property_suites():
     rng = np.random.default_rng(11)
 
@@ -194,18 +174,18 @@ def test_criterion_11_property_suites():
     for _ in range(200):
         n = int(rng.integers(2, 7))
         counts = rng.integers(0, 50, size=n)
-        sys_ = RegimeSystem("deterministic", _random_function_graph(rng, n))
+        sys_ = RegimeSystem("deterministic", random_function_graph(rng, n))
         assert int(evolve(sys_, counts, 3).sum()) == int(counts.sum())
     for _ in range(200):
         n = int(rng.integers(2, 7))
         p = rng.dirichlet(np.ones(n))
-        sys_ = RegimeSystem("stochastic", _random_doubly_stochastic(rng, n))
+        sys_ = RegimeSystem("stochastic", random_doubly_stochastic(rng, n))
         assert abs(float(evolve(sys_, p, 3).sum()) - 1.0) <= 1e-12
     for _ in range(200):
         n = int(rng.integers(2, 7))
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
         v /= norm(v)
-        sys_ = RegimeSystem("quantum", _random_unitary(rng, n))
+        sys_ = RegimeSystem("quantum", random_unitary(rng, n))
         assert abs(norm(evolve(sys_, v, 3)) - 1.0) <= 1e-12
 
     # every oracle undoes itself: cycle the whole 4-element family

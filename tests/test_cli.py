@@ -5,7 +5,6 @@ import functools
 import io
 import json
 import math
-import os
 import shlex
 import subprocess
 import sys
@@ -399,6 +398,13 @@ def test_evolve_zero_state_has_null_probabilities(tmp_path, capsys):
     assert json.loads(out)["probabilities"] is None
 
 
+def test_evolve_refuses_the_probabilities_of_a_zero_state_after_printing_it(tmp_path, capsys):
+    graph = tmp_path / "idle.graph"
+    graph.write_text("dim 2\n")
+    argv = ("evolve", str(graph), "--state", "0 0", "--regime", "det", "--unchecked", "--probabilities")
+    assert run(capsys, *argv) == (1, "dim 2\n0 0\n1 0\n", "error: zero state has no probabilities\n")
+
+
 def test_evolve_refuses_a_result_that_overflows(tmp_path, capsys):
     graph = tmp_path / "grow.graph"
     graph.write_text("dim 1\n0 0 1e200\n")
@@ -410,36 +416,40 @@ def test_evolve_refuses_a_result_that_overflows(tmp_path, capsys):
     assert err == "error: state entries must all be finite\n"
 
 
+def run_module(*argv):
+    """Run ``python -W error -m ketsim.cli`` in a child process; a hang fails the test after 60 s.
+
+    The child inherits this process's environment, so it runs the package these tests import.
+    """
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-m", "ketsim.cli", *argv],
+        capture_output=True, text=True, check=False, timeout=60,
+    )
+
+
 def test_evolve_overflow_prints_only_the_error_line(tmp_path):
     graph = tmp_path / "grow.graph"
     graph.write_text("dim 1\n0 0 1e200\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    done = subprocess.run(
-        [sys.executable, "-m", "ketsim.cli", "evolve", str(graph),
-         "--state", "0 1e200", "--regime", "stoch", "--unchecked"],
-        capture_output=True, text=True, env=env, check=False,
-    )
+    done = run_module("evolve", str(graph), "--state", "0 1e200", "--regime", "stoch", "--unchecked")
     assert (done.returncode, done.stdout) == (1, "")
     assert done.stderr == "error: state entries must all be finite\n"
 
 
-def run_module(*argv):
-    """Run ``python -m ketsim.cli`` in a child process; a hang fails the test after 60 s."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    return subprocess.run(
-        [sys.executable, "-m", "ketsim.cli", *argv],
-        capture_output=True, text=True, env=env, check=False, timeout=60,
-    )
+TWO_CYCLE = (None, ("--state", "0 1", "--regime", "det"))  # None: a two-cycle written per test
+README_H = (GOLDEN_DIR / "sample" / "h.graph", ("--state", "0"))
 
 
-@pytest.mark.parametrize("command", ["evolve", "sample"])
-def test_steps_beyond_the_work_limit_are_refused_before_any_click(tmp_path, command):
-    graph = tmp_path / "two.graph"
-    graph.write_text("dim 2\n0 1 1\n1 0 1\n")
+@pytest.mark.parametrize(
+    "command, graph, state",
+    [("evolve", *TWO_CYCLE), ("sample", *TWO_CYCLE), ("evolve", *README_H), ("sample", *README_H)],
+    ids=["evolve", "sample", "h-evolve", "h-sample"],
+)
+def test_steps_beyond_the_work_limit_are_refused_before_any_click(tmp_path, command, graph, state):
+    if graph is None:
+        graph = tmp_path / "two.graph"
+        graph.write_text("dim 2\n0 1 1\n1 0 1\n")
     steps = 10**20
-    done = run_module(command, str(graph), "--state", "0 1", "--regime", "det", "--steps", str(steps))
+    done = run_module(command, str(graph), *state, "--steps", str(steps))
     assert (done.returncode, done.stdout) == (2, "")
     limit = MAX_CLICK_WORK // (128 * 128)  # the floor on the work of a click below dim 128
     assert done.stderr == f"error: --steps {steps} exceeds the limit of {limit} at dimension 2\n"
@@ -514,9 +524,7 @@ def test_scenario_json_report(capsys):
 
 
 def test_scenario_requires_a_name(capsys):
-    code, _, err = run(capsys, "scenario")
-    assert code == 2
-    assert "scenario name required" in err
+    assert run(capsys, "scenario") == (2, "", "error: scenario name required (or --list)\n")
 
 
 @pytest.mark.parametrize("oracle", ["const0", "const1", "id", "not"])
@@ -595,6 +603,14 @@ def test_json_output_matches_golden_bytes(name, capsys, monkeypatch):
     code, out, err = run(capsys, *argv, "--format", "json")
     assert (code, err) == (0, "")
     assert out == (GOLDEN_DIR / "json" / f"{name}.json").read_text()
+
+
+def test_an_argv_that_argparse_reads_prints_the_same_json_bytes(capsys):
+    # `--oracle=id` and the abbreviation `--form` are left to argparse, not the plain reader
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = run(capsys, "deutsch", "--oracle=id", "--form", "json")
+    assert got == (0, (GOLDEN_DIR / "json" / "deutsch_id.json").read_text(), "")
 
 
 def test_malformed_graph_exits_two(tmp_path, capsys):
@@ -716,7 +732,9 @@ def test_parse_state_rejects_bad_and_non_finite_amplitudes(text, message):
 def test_evolve_at_any_scale(tmp_path, capsys, state, extra, want):
     graph = tmp_path / "one.graph"
     graph.write_text("dim 1\n0 0 1\n")
-    assert run(capsys, "evolve", str(graph), "--state", state, *extra) == (0, want, "")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(capsys, "evolve", str(graph), "--state", state, *extra) == (0, want, "")
 
 
 def test_evolve_json_probabilities_of_an_overflowing_state(tmp_path, capsys):
@@ -733,13 +751,8 @@ def test_evolve_json_probabilities_of_an_overflowing_state(tmp_path, capsys):
 def test_sample_of_an_overflowing_state_prints_no_warning(tmp_path):
     graph = tmp_path / "two.graph"
     graph.write_text("dim 2\n0 0 1\n1 1 1\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    done = subprocess.run(
-        [sys.executable, "-m", "ketsim.cli", "sample", str(graph), "--state", "0 1e200\n1 1e200",
-         "--regime", "stoch", "--unchecked", "--shots", "10", "--seed", "1"],
-        capture_output=True, text=True, env=env, check=False,
-    )
+    done = run_module("sample", str(graph), "--state", "0 1e200\n1 1e200",
+                      "--regime", "stoch", "--unchecked", "--shots", "10", "--seed", "1")
     assert (done.returncode, done.stderr) == (0, "")
     lines = done.stdout.splitlines()
     assert lines[0] == "shots 10"

@@ -8,13 +8,14 @@ they must raise the same message.
 """
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ketsim import cli
-from ketsim.cli import MAX_DIM, ParseFailure, parse_graph, parse_state
+from ketsim.cli import MAX_DIM, ParseFailure, main, parse_graph, parse_state
 from ketsim.gates import ket_of_bits
 
 # ------------------------------------------------------ reference readers
@@ -487,3 +488,45 @@ def test_a_refused_file_pays_at_most_one_numpy_read_per_width(monkeypatch, text,
     got = outcome(parse_graph, text)
     assert len(calls) == reads
     assert got.startswith("ParseFailure") and got == outcome(reference_parse_graph, text)
+
+
+# ------------------------------------------------ whole files through the command line
+
+
+def hadamard_pair_graph(odd):
+    """H (x) H as 16 edge lines; ``odd`` spells it with CRLF, a comment line, a blank line and a
+    trailing comment or a -0.0 imaginary part on alternate lines."""
+    lines = ["dim 4", "# H (x) H", ""] if odd else ["dim 4"]
+    for s in range(4):
+        for d in range(4):
+            edge = f"{s} {d} {'-0.5' if bin(s & d).count('1') == 1 else '0.5'}"
+            lines.append((f"{edge} # edge" if (s + d) % 2 == 0 else f"{edge} -0.0") if odd else edge)
+    newline = "\r\n" if odd else "\n"
+    return (newline.join(lines) + newline).encode()
+
+
+def run_cli(capsys, *argv):
+    """``main(argv)`` with every warning an error: exit code, stdout and stderr."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(list(argv))
+    return (code, *capsys.readouterr())
+
+
+def test_an_oddly_spelled_graph_evolves_as_its_plain_twin(tmp_path, capsys):
+    runs = []
+    for name, odd in (("clean", False), ("crlf", True)):
+        graph = tmp_path / f"{name}.graph"
+        graph.write_bytes(hadamard_pair_graph(odd))
+        runs.append(run_cli(capsys, "evolve", str(graph), "--state", "01", "--steps", "3",
+                            "--probabilities"))
+    assert runs[0][0] == 0 and runs[0][2] == ""
+    assert runs[1] == runs[0]
+
+
+def test_an_index_numpy_before_2_read_through_float_is_refused_naming_its_line(tmp_path, capsys):
+    graph = tmp_path / "float_index.graph"
+    graph.write_bytes(hadamard_pair_graph(False) + b"1.0 1 0.5\n")
+    assert run_cli(capsys, "validate", str(graph), "--regime", "quantum") == (
+        2, "", "error: line 18: vertex indices must be integers in '1.0 1 0.5'\n"
+    )

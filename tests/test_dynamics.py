@@ -32,28 +32,7 @@ from ketsim.experiments import (
     UNITARY_MATRIX,
 )
 from ketsim.gates import Circuit, Gate, apply, circuit_matrix, parallel, sequential
-
-
-def random_function_graph(rng, n):
-    """0/1 matrix with exactly one 1 per column: a function on vertices."""
-    m = np.zeros((n, n), dtype=np.int64)
-    for j in range(n):
-        m[rng.integers(0, n), j] = 1
-    return m
-
-
-def random_doubly_stochastic(rng, n):
-    """Convex combination of permutation matrices."""
-    weights = rng.dirichlet(np.ones(4))
-    out = np.zeros((n, n))
-    for w in weights:
-        out += w * np.eye(n)[rng.permutation(n)]
-    return out
-
-
-def random_unitary(rng, n):
-    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-    return q
+from reference import random_doubly_stochastic, random_function_graph, random_unitary
 
 
 def random_state(rng, n):
@@ -631,6 +610,25 @@ def test_a_click_into_the_buffer_is_bitwise_the_matmul_click(n, complex_, expone
             assert b.tobytes() == plain[i + 1].tobytes()
 
 
+def test_a_strict_dim_64_run_is_the_plain_click_loop_byte_for_byte():
+    # a strict stochastic or quantum run clicks in checked blocks, yet its result is the plain
+    # x = m @ x loop's, across no block, one, two and ten blocks
+    rng = np.random.default_rng(64)
+    haar = random_unitary(rng, 64)
+    birkhoff = random_doubly_stochastic(rng, 64, terms=8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for regime, m, x in (("stochastic", birkhoff, rng.dirichlet(np.ones(64))),
+                             ("quantum", haar, haar[:, 0].copy())):
+            s = RegimeSystem(regime, m)
+            for steps in (0, 1, 2, 65, 300):
+                want = x.astype(s.matrix.dtype)
+                for _ in range(steps):
+                    want = s.matrix @ want
+                out = evolve(s, x, steps)
+                assert out.dtype == want.dtype and out.tobytes() == want.tobytes(), (regime, steps)
+
+
 def per_block_bounds(sys_):
     """The block test's constants as ``_passes`` worked them out for each block before they were
     set once per system."""
@@ -761,7 +759,9 @@ def counted_function_graphs(draw):
 @example((np.array([[0, 1], [1, 0]]), np.array([3, 5])), 10**18)
 def test_strict_deterministic_runs_are_the_matrix_power(case, steps):
     m, x = case
-    out = evolve(RegimeSystem("deterministic", m), x, steps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = evolve(RegimeSystem("deterministic", m), x, steps)
     want = np.linalg.matrix_power(m, steps) @ x  # exact: a power of a 0/1 function is one
     assert out.dtype == want.dtype == np.int64 and out.tolist() == want.tolist()
 
@@ -851,30 +851,32 @@ BIG_GATE = Gate("big", [[1e300, 0], [0, 1]], 1, 1, quantum=False)
         (lambda: evolve(unchecked("deterministic", FOUR_INTO_ONE), [2**61, 0, 0, 0], 1),
          [2**61, 0, 0, 0]),
         (lambda: state_tensor([-(2**63)], [1]), [-(2**63)]),
-        (lambda: evolve(DOUBLING, [1], 64), "int64"),
-        (lambda: compose_parallel(TWO_TO_62, unchecked("deterministic", [[4]])), "int64"),
-        (lambda: state_tensor([2**62], [4]), "int64"),
-        (lambda: state_tensor([1e200], [1e200]), "finite"),
-        (lambda: compose_sequential(HUGE, HUGE), "finite"),
-        (lambda: compose_parallel(HUGE, HUGE), "finite"),
+        (lambda: evolve(DOUBLING, [1], 64), "exceed what int64 holds"),
+        (lambda: compose_parallel(TWO_TO_62, unchecked("deterministic", [[4]])),
+         "exceed what int64 holds"),
+        (lambda: state_tensor([2**62], [4]), "exceed what int64 holds"),
+        (lambda: state_tensor([1e200], [1e200]), "must all be finite"),
+        (lambda: compose_sequential(HUGE, HUGE), "must all be finite"),
+        (lambda: compose_parallel(HUGE, HUGE), "must all be finite"),
         (lambda: mat_mul([[2**61, 2**61]], [[1], [1]]), [[2**62]]),
         (lambda: kron([[2**62]], [[-2]]), [[-(2**63)]]),
-        (lambda: mat_mul([[2**62]], [[4]]), "int64"),
-        (lambda: mat_vec([[2**62]], [4]), "int64"),
-        (lambda: kron([[2**62]], [[4]]), "int64"),
-        (lambda: mat_mul([[1e200]], [[1e200]]), "finite"),
-        (lambda: mat_vec([[1e200]], [1e200]), "finite"),
-        (lambda: kron([[1e200]], [[1e200]]), "finite"),
-        (lambda: sequential(BIG_GATE, BIG_GATE), "finite"),
-        (lambda: parallel(BIG_GATE, BIG_GATE), "finite"),
-        (lambda: circuit_matrix(Circuit(1, [[BIG_GATE], [BIG_GATE]])), "finite"),
+        (lambda: mat_mul([[2**62]], [[4]]), "exceed what int64 holds"),
+        (lambda: mat_vec([[2**62]], [4]), "exceed what int64 holds"),
+        (lambda: kron([[2**62]], [[4]]), "exceed what int64 holds"),
+        (lambda: mat_mul([[1e200]], [[1e200]]), "must all be finite"),
+        (lambda: mat_vec([[1e200]], [1e200]), "must all be finite"),
+        (lambda: mat_vec([[1e300]], [1e300]), "must all be finite"),
+        (lambda: kron([[1e200]], [[1e200]]), "must all be finite"),
+        (lambda: sequential(BIG_GATE, BIG_GATE), "must all be finite"),
+        (lambda: parallel(BIG_GATE, BIG_GATE), "must all be finite"),
+        (lambda: circuit_matrix(Circuit(1, [[BIG_GATE], [BIG_GATE]])), "must all be finite"),
         (lambda: apply(BIG_GATE, [1e300, 0]), "state entries must all be finite"),
     ],
     ids=["composed-clicks", "composed-weights", "2^62", "near-int64", "four-into-one", "int64-min",
          "evolve-wrap", "parallel-wrap", "tensor-wrap", "tensor-inf", "sequential-inf", "parallel-inf",
          "mat_mul-2^62", "kron-int64-min", "mat_mul-wrap", "mat_vec-wrap", "kron-wrap", "mat_mul-inf",
-         "mat_vec-inf", "kron-inf", "gate-sequential-inf", "gate-parallel-inf", "circuit-inf",
-         "gate-apply-inf"],
+         "mat_vec-inf", "mat_vec-1e300-inf", "kron-inf", "gate-sequential-inf", "gate-parallel-inf",
+         "circuit-inf", "gate-apply-inf"],
 )
 def test_products_are_exact_or_refused_without_a_warning(run, want):
     with warnings.catch_warnings(record=True) as caught:

@@ -19,6 +19,7 @@ from ketsim.gates import (
     sequential,
     standard_gate,
 )
+from reference import random_unitary
 
 H = standard_gate("H")
 I1 = standard_gate("I")
@@ -360,9 +361,7 @@ CLASSICAL_GATES = ("AND", "NAND", "OR", "NOR", "NOT", "CNOT")
 
 
 def random_unitary_gate(rng, wires):
-    z = rng.normal(size=(2**wires, 2**wires)) + 1j * rng.normal(size=(2**wires, 2**wires))
-    q, r = np.linalg.qr(z)
-    return Gate(f"U{wires}", q * (np.diag(r) / np.abs(np.diag(r))), wires, wires, quantum=True)
+    return Gate(f"U{wires}", random_unitary(rng, 2**wires), wires, wires, quantum=True)
 
 
 def random_layer(rng, width, names):
@@ -631,6 +630,39 @@ def test_a_wide_side_is_cut_again():
     assert_within_bound(got)
 
 
+def test_four_hadamard_layers_on_ten_wires_are_the_identity():
+    # every wire is free, so the cut is at wire 5 and the two 5-wire sides are contracted whole
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = circuit_matrix(Circuit(10, [[H] * 10] * 4)).matrix
+        assert np.max(np.abs(m - np.eye(1024))) <= 1e-12 and validate(m, "quantum") == []
+
+
+def test_of_several_free_wires_the_most_balanced_is_cut():
+    # free wires 1, 5 and 7 between sub-circuits of widths 1, 4, 2 and 3: 5 is cut, and the result
+    # is the Kronecker product of the sub-circuits
+    n, cnot = standard_gate("NOT"), standard_gate("CNOT")
+    parts = [Circuit(1, [[H], [n]]), Circuit(4, [[cnot, cnot], [H, cnot, H]]),
+             Circuit(2, [[cnot], [H, H]]), Circuit(3, [[cnot, H], [H, cnot]])]
+    c = side_by_side(parts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cut(c) == (5, (3, 4))
+        m = circuit_matrix(c).matrix
+        want = reduce(np.kron, (circuit_matrix(p).matrix for p in parts))
+        assert np.max(np.abs(m - want)) <= 1e-12 and validate(m, "quantum") == []
+
+
+def test_a_cut_through_and_and_or_gives_the_exact_classical_product():
+    # at the default cut width: 5 wires are contracted whole, and 10 are cut through AND and OR
+    a, n, o = (standard_gate(x) for x in ("AND", "NOT", "OR"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for w, layers in ((5, [[a, n, o], [n] * 3, [a, n]]), (10, [[a, n, o] * 2, [n] * 6, [a, n] * 2])):
+            c = Circuit(w, layers)
+            assert np.array_equal(circuit_matrix(c).matrix, reference_circuit_matrix(c).matrix), w
+
+
 @pytest.mark.parametrize("shape_a, shape_b", [
     ((8, 8), (2, 2)), ((2, 2), (8, 8)), ((4, 4), (4, 4)), ((1, 4), (2, 1)), ((2, 1), (1, 4)),
     # both sides have 4 rows or more: each output row is written in one pass
@@ -764,6 +796,15 @@ def test_a_deep_circuit_is_not_validated_and_stays_unitary(monkeypatch):
     assert calls == []
     assert got._bound <= DEFAULT_TOL
     assert_within_bound(got)
+
+
+def test_a_deep_eight_wire_circuit_passes_validate():
+    # 500 layers: the gates' summed bound stays within tol, so the product is not validated again
+    cnot = standard_gate("CNOT")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = Circuit(8, [[H] * 8, [cnot] * 4] * 250)
+        assert validate(circuit_matrix(c).matrix, "quantum") == []
 
 
 def rotation(scale, name="U"):

@@ -1,5 +1,4 @@
-"""The package surface: top-level exports and the demo transcripts."""
-import os
+"""The package surface: top-level exports, the README's Quick start and the demo transcripts."""
 import re
 import subprocess
 import sys
@@ -32,12 +31,25 @@ def test_exports_are_exactly_the_documented_names():
         assert name in documented, f"{name} is exported but not named in README.md"
 
 
+def test_a_child_process_imports_the_package_these_tests_import():
+    # subprocess tests inherit this environment: under PYTHONPATH=src they run src/, and with
+    # the package installed, the installed copy
+    done = subprocess.run([sys.executable, "-c", "import ketsim; print(ketsim.__file__)"],
+                          capture_output=True, text=True, check=False)
+    assert (done.returncode, done.stdout, done.stderr) == (0, ketsim.__file__ + "\n", "")
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_prints_its_transcript(demo):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src") + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    done = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, env=env, check=False
-    )
+    done = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, check=False)
     assert done.returncode == 0
     assert done.stderr == ""
     assert done.stdout == (ROOT / "tests" / "golden" / "demos" / f"{demo.stem}.txt").read_text()
+
+
+def test_the_readme_quick_start_runs_as_written():
+    section = (ROOT / "README.md").read_text().split("\n## Quick start\n", 1)[1].split("\n## ", 1)[0]
+    code = re.search(r"^```python\n(.*?)^```$", section, re.MULTILINE | re.DOTALL).group(1)
+    done = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                          capture_output=True, text=True, check=False)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[0.25  0.375 0.375]\n", "")
