@@ -10,7 +10,8 @@ Arguments in exact spellings are read from ``build_parser()``'s own table
 of actions (``_plain_args``); argparse reads everything else: help,
 abbreviations, ``--opt=value``, ``--`` and every usage error.
 
-Exit codes: 0 success, 1 validation or golden-check failure, 2 parse or
+Exit codes: 0 success, 1 validation or golden-check failure or output that
+cannot be written (a closed pipe exits 1 with nothing on stderr), 2 parse or
 usage error.  Text output prints numbers at 12 significant digits; JSON
 carries round-trip exact doubles and equals ``json.dumps(payload, indent=2)`` byte for byte
 (pinned by ``tests/golden/json/``).
@@ -611,12 +612,24 @@ def _plain_args(argv=None) -> argparse.Namespace | None:
 def main(argv=None) -> int:
     args = _plain_args(argv) or build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a write fault surfaces here, not in the flush at exit
+        return code
     except ParseFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader closed the pipe: point stdout at devnull, so the flush at exit writes what is left
+        # nowhere instead of raising again (https://docs.python.org/3/library/signal.html#note-on-sigpipe).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    except OSError as exc:  # reads raise ParseFailure, so this is a write: a full disk, say
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1
 
 

@@ -14,19 +14,27 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
-from .algebra import (DEFAULT_TOL, _kron, _product, _unitary_deviation, as_count, as_matrix, as_state,
-                      is_deterministic, refuse)
+from .algebra import (DEFAULT_TOL, _kron, _product, _require_finite_numbers, _unitary_deviation, as_count,
+                      as_matrix, as_state, is_deterministic, refuse)
 
 _EPS = float(np.finfo(float).eps)  # 2**-52, twice the unit roundoff of float64
 
 
 @dataclass(frozen=True, eq=False)
 class Gate:
-    """A named matrix on fixed input/output wires, checked once when built; read-only after."""
+    """A named matrix on fixed input/output wires, checked once when built; read-only after.
+
+    A quantum ``circuit_matrix`` result that is cut in two keeps its two
+    sides, top and below, and its ``matrix``, their Kronecker product, is
+    joined when it is first read (``__getattr__``), then kept.  Until then
+    the gate holds 4^p + 4^(n-p) entries for a cut after p of its n wires,
+    in place of 4^n.  Two threads that read it first at once may each join
+    it, to the same bytes.
+    """
 
     name: str
     matrix: np.ndarray
@@ -64,6 +72,16 @@ class Gate:
             n = m.shape[0]
             bound = 0.0 if self._deterministic else n * (deviation + 3 * n * _EPS)
         object.__setattr__(self, "_bound", bound)
+
+    def __getattr__(self, name):
+        # Reached only when ``name`` is not set, so a gate whose matrix is set pays nothing here.
+        sides = vars(self).get("_sides")
+        if name != "matrix" or sides is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        m = _kron(*sides)
+        m.setflags(write=False)
+        vars(self)["matrix"] = m
+        return m
 
     # Facts about the read-only matrix, each worked out once, when first asked for.
 
@@ -131,6 +149,20 @@ def _from_checked(name: str, m: np.ndarray, in_bits: int, out_bits: int, quantum
     g = object.__new__(Gate)  # the fields Gate.__post_init__ would set, and the bound
     vars(g).update(name=name, matrix=m, in_bits=in_bits, out_bits=out_bits, quantum=quantum,
                    _bound=bound if quantum else math.inf)
+    return g
+
+
+def _unjoined(name: str, wires: int, sides: tuple[np.ndarray, np.ndarray], bound: float) -> Gate:
+    """A quantum gate whose matrix is top ⊗ below, new products of checked gates, joined when first read.
+
+    Its ``bound`` (``_product_bound``, the join's rounding included) is
+    within DEFAULT_TOL, so the joined matrix would pass ``validate``, and
+    it is not validated, as ``_from_checked`` would not validate it.
+    """
+    for side in sides:
+        side.setflags(write=False)
+    g = object.__new__(Gate)  # as ``_from_checked``'s, with the sides in place of the matrix
+    vars(g).update(name=name, in_bits=wires, out_bits=wires, quantum=True, _bound=bound, _sides=sides)
     return g
 
 
@@ -224,14 +256,30 @@ def parallel(top: Gate, bottom: Gate) -> Gate:
 
 
 def apply(g: Gate, state) -> np.ndarray:
-    """Send a state through a gate: the product ``g.matrix @ state``, finite or refused."""
+    """Send a state through a gate: the product ``g.matrix @ state``, finite or refused.
+
+    A gate that keeps two sides (a cut ``circuit_matrix`` result) is
+    applied side by side, with no 2^n × 2^n matrix: by (A ⊗ B)·vec(X) =
+    vec(A X Bᵀ), for X the state as a grid of 2^(top wires) rows (Van
+    Loan, *The ubiquitous Kronecker product*, J. Comput. Appl. Math. 123,
+    2000).  It takes this path whether or not ``g.matrix`` has been read,
+    and agrees with ``g.matrix @ state`` up to rounding, not bit for bit.
+    """
     x = np.asarray(state)
     if x.ndim != 1 or x.shape[0] != 2**g.in_bits:
         got = x.shape[0] if x.ndim == 1 else f"ndim-{x.ndim} array"
         raise ValueError(
             f"gate {g.name!r} expects a state of dimension {2**g.in_bits}, got {got}"
         )
-    return _product(np.matmul, g.matrix, as_state(x))
+    sides = vars(g).get("_sides")
+    if sides is None:
+        return _product(np.matmul, g.matrix, as_state(x))
+    top, below = sides
+    grid = as_state(x).reshape(top.shape[1], below.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf in top @ grid leaves the result not finite
+        out = (top @ grid @ below.T).reshape(-1)
+    _require_finite_numbers(out, "state")
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,20 +379,28 @@ def _contract(wires: int, layers: tuple[tuple[Gate, ...], ...]) -> tuple[np.ndar
     return total, bound
 
 
-def _matrix(wires: int, layers: tuple[tuple[Gate, ...], ...]) -> tuple[np.ndarray, float]:
-    """The matrix of layers on ``wires`` input wires and its bound: contracted whole, or cut in two.
+def _parts(wires: int, layers: tuple[tuple[Gate, ...], ...]) -> tuple[tuple[np.ndarray, ...], float]:
+    """The matrix of layers on ``wires`` input wires as its Kronecker factors, and its bound.
 
-    Cut by ``_cut``, it is the Kronecker product of the sides above and
-    below, each worked out the same way, and its bound allows for the
-    join's rounding as ``parallel``'s does.
+    Uncut by ``_cut``, the one factor is the layers contracted whole.  Cut,
+    the two factors are the sides above and below, each worked out as
+    ``_matrix``, and the bound allows for their join's rounding as
+    ``parallel``'s does.
     """
     cut = _cut(wires, layers)
     if cut is None:
-        return _contract(wires, layers)
+        total, bound = _contract(wires, layers)
+        return (total,), bound
     p, at = cut
     top, top_bound = _matrix(p, tuple(layer[:k] for layer, k in zip(layers, at)))
     below, below_bound = _matrix(wires - p, tuple(layer[k:] for layer, k in zip(layers, at)))
-    return _kron(top, below), _product_bound(top_bound, below_bound, 1, 2**wires)
+    return (top, below), _product_bound(top_bound, below_bound, 1, 2**wires)
+
+
+def _matrix(wires: int, layers: tuple[tuple[Gate, ...], ...]) -> tuple[np.ndarray, float]:
+    """The matrix of layers on ``wires`` input wires and its bound: ``_parts``, joined by one Kronecker product."""
+    parts, bound = _parts(wires, layers)
+    return reduce(_kron, parts), bound
 
 
 def circuit_matrix(c: Circuit) -> Gate:
@@ -371,6 +427,11 @@ def circuit_matrix(c: Circuit) -> Gate:
     rows, in place of a full-size pass per gate.  The result agrees with
     the per-gate product up to rounding, not bit for bit.
 
+    A cut quantum circuit whose bound (below) is within DEFAULT_TOL keeps
+    its two sides and is not joined here: its ``matrix`` is joined by the
+    same Kronecker product when first read, and ``apply`` sends a state
+    through the two sides without it.  Every other result is joined at once.
+
     Each gate was checked when it was built, so the result is not
     validated again while it is sure to pass: every quantum gate carries
     an upper bound on ||M† M - I||_2, and the bounds of the gates placed,
@@ -386,5 +447,8 @@ def circuit_matrix(c: Circuit) -> Gate:
         ">" + "|".join(g.name for g in layer) for layer in c.layers if layer)
     quantum = all(g.quantum for layer in c.layers for g in layer)
     with np.errstate(over="ignore", invalid="ignore"):  # a result that is not finite is refused below
-        total, bound = _matrix(c.wires, c.layers)
+        parts, bound = _parts(c.wires, c.layers)
+        if len(parts) == 2 and quantum and bound <= DEFAULT_TOL:
+            return _unjoined(name, c.wires, parts, bound)
+        total = reduce(_kron, parts)
     return _from_checked(name, total, c.wires, c.out_wires, quantum, bound)

@@ -1,10 +1,12 @@
 """Command-line interface: file parsing, output formats, exit codes."""
 import argparse
 import contextlib
+import errno
 import functools
 import io
 import json
 import math
+import os
 import shlex
 import subprocess
 import sys
@@ -1176,3 +1178,98 @@ def test_the_argv_shapes_perfbench_sends_skip_argparse(tmp_path, capsys, monkeyp
     assert calls == []
     assert run(capsys, "deutsch", "--oracle=id")[0] == 0  # the same run spelled otherwise
     assert calls == [(["deutsch", "--oracle=id"],)]
+
+
+# ---------------------------------------------------------------- output faults
+
+class ShortFile(io.RawIOBase):
+    """A raw writer on descriptor ``fd`` that takes ``room`` bytes, then fails each write with ``err``.
+
+    EPIPE is a reader that closed its pipe, ENOSPC a full disk.  Once ``fd``
+    is pointed at devnull, writes succeed and are dropped, as they would be.
+    """
+
+    def __init__(self, fd, room, err):
+        self.fd, self.room, self.err, self.data = fd, room, err, bytearray()
+
+    def writable(self):
+        return True
+
+    def fileno(self):
+        return self.fd
+
+    def write(self, b):
+        if os.path.samestat(os.fstat(self.fd), os.stat(os.devnull)):
+            return len(b)
+        n = min(len(b), self.room - len(self.data))
+        if n <= 0:
+            raise OSError(self.err, os.strerror(self.err))  # EPIPE makes a BrokenPipeError
+        self.data += b[:n]
+        return n
+
+
+def faulted_main(tmp_path, argv, room, err, buffer_size):
+    """main(argv) with stdout buffered as a real one is, on a ShortFile: (code, bytes written, stderr, devnull)."""
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
+    try:
+        raw = ShortFile(fd, room, err)
+        out = io.TextIOWrapper(io.BufferedWriter(raw, buffer_size), encoding="utf-8", write_through=True)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()) as stderr:
+            code = main(argv)
+        written, devnull = bytes(raw.data), os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        raw.room = math.inf  # the disk is freed: what the buffer holds goes out, so closing it cannot fail
+        out.close()
+    finally:
+        os.close(fd)
+    return code, written, stderr.getvalue(), devnull
+
+
+@pytest.mark.parametrize("argv", [
+    ["deutsch", "--oracle", "id"],
+    ["scenario", "marbles-6"],
+    ["evolve", "marbles6.graph", "--state", "marbles6.state", "--regime", "det", "--steps", "2",
+     "--format", "json"],
+], ids=["deutsch", "scenario", "evolve-json"])
+@pytest.mark.parametrize("buffer_size", [16, io.DEFAULT_BUFFER_SIZE], ids=["fails-in-print", "fails-in-flush"])
+def test_a_closed_pipe_or_a_full_disk_never_ends_in_a_traceback(tmp_path, monkeypatch, argv, buffer_size):
+    monkeypatch.chdir(GOLDEN_DIR / "json")
+    want = faulted_main(tmp_path, argv, math.inf, errno.EPIPE, buffer_size)[1]
+    assert want and (argv[0] != "deutsch" or want == (GOLDEN_DIR / "deutsch_id.txt").read_bytes())
+    for room in range(len(want) + 1):
+        for err in (errno.EPIPE, errno.ENOSPC):
+            code, written, stderr, devnull = faulted_main(tmp_path, argv, room, err, buffer_size)
+            assert written == want[:room]
+            if room == len(want):  # every byte fit
+                assert (code, stderr, devnull) == (0, "", False)
+            elif err == errno.EPIPE:  # the reader has gone: nothing to say, and nothing more to write
+                assert (code, stderr, devnull) == (1, "", True)
+            else:
+                assert (code, devnull) == (1, False)
+                assert stderr == f"error: cannot write output: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+
+
+def test_a_reader_that_closes_the_pipe_early_gets_no_traceback(tmp_path):
+    import fcntl
+
+    graph = tmp_path / "cycle.graph"
+    graph.write_text("dim 2048\n" + "".join(f"{i} {(i + 1) % 2048} 1\n" for i in range(2048)))
+    read_end, write_end = os.pipe()
+    if hasattr(fcntl, "F_SETPIPE_SZ"):  # Linux: a one-page pipe holds little of the 88 kB of JSON
+        fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    with open(read_end, "rb") as reader:
+        try:
+            child = subprocess.Popen(
+                [sys.executable, "-W", "error", "-m", "ketsim.cli", "evolve", str(graph), "--state", "0 1",
+                 "--regime", "det", "--format", "json"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert reader.read(9) == b'{\n  "dim"'
+    # the reader has gone while the child still has most of its output to write
+    try:
+        stderr = child.communicate(timeout=60)[1]
+    finally:
+        child.kill()
+        child.wait()
+    assert (child.returncode, stderr) == (1, "")

@@ -1,4 +1,6 @@
 """Gate library, truth tables, and circuit composition."""
+import copy
+import pickle
 import warnings
 from functools import reduce
 
@@ -474,7 +476,10 @@ def cut(c):
 
 
 def joins_of(c):
-    """circuit_matrix(c), and the (top, below) shapes of the Kronecker joins it made, in order."""
+    """circuit_matrix(c), and the (top, below) shapes of the Kronecker joins made for its matrix, in order.
+
+    The matrix is read inside the spy, since a cut quantum result joins its two sides at that read.
+    """
     shapes = []
 
     def spy(a, b):
@@ -483,7 +488,9 @@ def joins_of(c):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ketsim.gates, "_kron", spy)
-        return circuit_matrix(c), shapes
+        g = circuit_matrix(c)
+        g.matrix
+        return g, shapes
 
 
 @pytest.mark.parametrize("kind", sorted(CUT_BLOCKS))
@@ -882,3 +889,129 @@ def test_the_deterministic_flag_is_read_from_the_matrix():
     Circuit(3, [[zz, standard_gate("AND")]])
     with pytest.raises(ValueError, match="mix"):
         Circuit(3, [[z, standard_gate("AND")]])
+
+
+# --- a cut quantum circuit is joined only when its matrix is read ---------------------
+
+EPS = np.finfo(float).eps
+
+
+def unjoined_circuits(seed, count=12, most=10):
+    """Cut quantum circuits of 7 to ``most`` wires in three blocks, real (H, NOT, I, CNOT) and complex (U in the middle).
+
+    At most 10 wires by default, where a 2^n × 2^n complex matrix takes 16 MiB.
+    """
+    rng = np.random.default_rng(seed)
+    for t in range(count):
+        blocks = CUT_BLOCKS["identity" if t % 2 else "complex"]
+        widths = [0]
+        while not 7 <= sum(widths) <= most:
+            widths = [int(w) for w in rng.integers(1, 5, size=len(blocks))]
+        yield stacked_circuit(rng, list(zip(widths, blocks)))
+
+
+def eager_join(c):
+    """today's matrix of a cut circuit, joined at once: ``_kron`` of its two sides, each by ``_matrix``."""
+    p, at = cut(c)
+    top = ketsim.gates._matrix(p, tuple(layer[:k] for layer, k in zip(c.layers, at)))[0]
+    below = ketsim.gates._matrix(c.wires - p, tuple(layer[k:] for layer, k in zip(c.layers, at)))[0]
+    return ketsim.algebra._kron(top, below)
+
+
+def test_a_cut_quantum_circuit_keeps_its_sides_until_its_matrix_is_read():
+    dtypes = set()
+    for c in unjoined_circuits(191):
+        g = circuit_matrix(c)
+        assert "matrix" not in vars(g) and g._bound <= DEFAULT_TOL
+        assert (g.in_bits, g.out_bits, g.quantum) == (c.wires, c.wires, True)
+        m = g.matrix
+        assert "matrix" in vars(g) and g.matrix is m and not m.flags.writeable
+        assert m.tobytes() == eager_join(c).tobytes()  # the same bytes as a join made at once
+        assert np.max(np.abs(m - reference_circuit_matrix(c).matrix)) <= 1e-12
+        assert_within_bound(g)
+        dtypes.add(m.dtype)
+    assert dtypes == {np.dtype(np.float64), np.dtype(np.complex128)}
+
+
+def test_apply_runs_the_two_sides_and_agrees_with_the_matrix_product():
+    # Each entry of either product is a sum of at most 2^n terms, and the terms' moduli add up to at
+    # most ||row|| ||x|| <= (1 + DEFAULT_TOL) ||x||, so either errs by at most about 2^n eps ||x||
+    # (Higham, 3.1 and 3.6): they differ by at most twice that.
+    rng = np.random.default_rng(193)
+    for c in unjoined_circuits(197):
+        g = circuit_matrix(c)
+        xs = (rng.normal(size=2**c.wires), rng.normal(size=2**c.wires) + 1j * rng.normal(size=2**c.wires))
+        before = [apply(g, x) for x in xs]
+        assert "matrix" not in vars(g)  # applied without joining
+        for x, got in zip(xs, before):
+            want = g.matrix @ x
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 2 * 2**c.wires * EPS * np.linalg.norm(x)
+            assert apply(g, x).tobytes() == got.tobytes()  # the same path after the read
+
+
+def test_apply_of_the_sides_is_finite_or_refused_with_warnings_as_errors():
+    rng = np.random.default_rng(199)
+    refused = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c in unjoined_circuits(211, most=12):
+            g = circuit_matrix(c)
+            x = rng.normal(size=2**c.wires)
+            unit = apply(g, x)
+            for scale in (2.0**-500, 2.0**500):  # within the float range at every step: exact scaling
+                assert apply(g, x * scale).tobytes() == (unit * scale).tobytes()
+            try:
+                got = apply(g, x / np.max(np.abs(x)) * np.finfo(float).max)
+            except ValueError as exc:
+                assert str(exc) == "state entries must all be finite"
+                refused += 1
+            else:
+                assert np.isfinite(got).all()
+            with pytest.raises(ValueError, match="^state entries must all be finite$"):
+                apply(g, np.where(np.arange(2**c.wires) == 3, np.inf, x))
+            assert "matrix" not in vars(g)
+    assert refused > 0  # the refusal ran, not only the finite path
+
+
+def test_an_unjoined_gate_copies_and_pickles():
+    c = next(unjoined_circuits(223))
+    x = np.random.default_rng(227).normal(size=2**c.wires)
+    for copied in (copy.copy, lambda g: pickle.loads(pickle.dumps(g))):
+        g = circuit_matrix(c)
+        twin = copied(g)
+        assert "matrix" not in vars(g) and "matrix" not in vars(twin)
+        assert (twin.name, twin.in_bits, twin.out_bits, twin.quantum, twin._bound) == (
+            g.name, g.in_bits, g.out_bits, g.quantum, g._bound)
+        assert apply(twin, x).tobytes() == apply(g, x).tobytes()
+        assert twin.matrix.tobytes() == g.matrix.tobytes()
+    with pytest.raises(AttributeError, match="'Gate' object has no attribute 'nothing'"):
+        circuit_matrix(c).nothing
+
+
+def test_no_full_size_join_is_made_until_the_matrix_is_read(monkeypatch):
+    sizes = []
+
+    def spy(a, b):
+        sizes.append(a.size * b.size)
+        return ketsim.algebra._kron(a, b)
+
+    monkeypatch.setattr(ketsim.gates, "_kron", spy)
+    for c in unjoined_circuits(229):
+        sizes.clear()
+        g = circuit_matrix(c)
+        apply(g, ket_of_bits("0" * c.wires))
+        assert all(size < 4**c.wires for size in sizes)
+        g.matrix
+        assert sizes[-1] == 4**c.wires
+
+
+def test_classical_uncut_and_unbounded_results_are_joined_at_once():
+    not_, cnot = standard_gate("NOT"), standard_gate("CNOT")
+    for c in (Circuit(8, [[standard_gate("AND")] * 4, [not_] * 4]),  # classical: cut, joined to check it
+              Circuit(8, [[H] * 8, [cnot] * 4, [H, cnot, cnot, cnot, H]]),  # quantum, but no free wire
+              Circuit(4, [[H] * 4])):  # narrower than _CUT_WIRES
+        assert "matrix" in vars(circuit_matrix(c))
+    u = rotation(1 + 1e-10)  # its summed bound passes DEFAULT_TOL: validated, so joined now
+    got = circuit_matrix(Circuit(8, [[u] + [H] * 7] * 3))
+    assert got._bound > DEFAULT_TOL and "matrix" in vars(got)
