@@ -81,7 +81,8 @@ def _limit(op, left: np.ndarray, dtype: np.dtype) -> float:
 
 
 def _product(op, left: np.ndarray, right: np.ndarray, limit: float | None = None) -> np.ndarray:
-    """``op(left, right)`` for np.matmul, np.kron or ``_kron``: exact and finite, or ValueError.
+    """``op(left, right)`` for np.matmul, np.kron or ``_kron`` (or any product, on float operands):
+    exact and finite, or ValueError.
 
     The one product rule: an integer product that ``_limit`` cannot clear is redone in Python
     ints, and a result that is not finite is refused, with no numpy warning either way.

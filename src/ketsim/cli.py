@@ -58,13 +58,21 @@ class ParseFailure(Exception):
 
 # ---------------------------------------------------------------- parsing
 
+def _echo(value, show=repr) -> str:
+    """``show(value)`` as an error message quotes a piece of a bad line: its first 80 characters and
+    ``...`` when it is longer, so a message stays short however long the line."""
+    text = show(value)
+    return text if len(text) <= 80 else text[:80] + "..."
+
+
 def _content_lines(raw: list[str], plain: bool) -> Iterator[tuple[int, str]]:
     """(line_number, stripped_text) of each line with text outside comments, ASCII without ``_``
     (checked unless ``plain``): Python's ``int`` and ``float`` read other digits, ``1_0`` as 10."""
     for lineno, full in enumerate(raw, start=1):
         if line := full.partition("#")[0].strip():
             if not (plain or line.isascii() and "_" not in line):
-                raise ParseFailure(f"line {lineno}: expected ASCII text without `_`, got {line!a}")
+                raise ParseFailure(f"line {lineno}: expected ASCII text without `_`, "
+                                   f"got {_echo(line, ascii)}")
             yield lineno, line
 
 
@@ -74,9 +82,9 @@ def _complex_value(fields: list[str], noun: str, lineno: int, line: str) -> comp
         re_part = float(fields[0])
         im_part = float(fields[1]) if len(fields) == 2 else 0.0
     except ValueError:
-        raise ParseFailure(f"line {lineno}: bad {noun} in {line!r}")
+        raise ParseFailure(f"line {lineno}: bad {noun} in {_echo(line)}")
     if not (math.isfinite(re_part) and math.isfinite(im_part)):
-        raise ParseFailure(f"line {lineno}: {noun} must be finite in {line!r}")
+        raise ParseFailure(f"line {lineno}: {noun} must be finite in {_echo(line)}")
     return complex(re_part, im_part)
 
 
@@ -137,15 +145,15 @@ def parse_graph(text: str) -> np.ndarray:
         raise ParseFailure("line 1: empty graph file, expected `dim <n>`")
     fields = header.split()
     if len(fields) != 2 or fields[0] != "dim":
-        raise ParseFailure(f"line {lineno}: expected `dim <n>`, got {header!r}")
+        raise ParseFailure(f"line {lineno}: expected `dim <n>`, got {_echo(header)}")
     try:
         dim = int(fields[1])
     except ValueError:
-        raise ParseFailure(f"line {lineno}: dimension {fields[1]!r} is not an integer")
+        raise ParseFailure(f"line {lineno}: dimension {_echo(fields[1])} is not an integer")
     if dim < 1:
-        raise ParseFailure(f"line {lineno}: dimension must be positive, got {dim}")
+        raise ParseFailure(f"line {lineno}: dimension must be positive, got {_echo(dim, str)}")
     if dim > MAX_DIM:
-        raise ParseFailure(f"line {lineno}: dimension {dim} exceeds the limit of {MAX_DIM}")
+        raise ParseFailure(f"line {lineno}: dimension {_echo(dim, str)} exceeds the limit of {MAX_DIM}")
     body = raw[lineno:]
     array = _bulk_entries(body, (dim, dim)) if plain and len(body) >= _BULK_LINES else None
     return _edge_loop(list(lines), dim) if array is None else array
@@ -159,14 +167,14 @@ def _edge_loop(lines: list[tuple[int, str]], dim: int) -> np.ndarray:
         fields = line.split()
         if len(fields) not in (3, 4):
             raise ParseFailure(
-                f"line {lineno}: expected `<from> <to> <re> [<im>]`, got {line!r}"
+                f"line {lineno}: expected `<from> <to> <re> [<im>]`, got {_echo(line)}"
             )
         try:
             src, dst = int(fields[0]), int(fields[1])
         except ValueError:
-            raise ParseFailure(f"line {lineno}: vertex indices must be integers in {line!r}")
+            raise ParseFailure(f"line {lineno}: vertex indices must be integers in {_echo(line)}")
         if not (0 <= src < dim and 0 <= dst < dim):
-            raise ParseFailure(f"line {lineno}: vertex out of range 0..{dim - 1} in {line!r}")
+            raise ParseFailure(f"line {lineno}: vertex out of range 0..{dim - 1} in {_echo(line)}")
         if (src, dst) in seen:
             raise ParseFailure(f"line {lineno}: duplicate edge {src} -> {dst}")
         seen.add((src, dst))
@@ -189,10 +197,11 @@ def _amplitude_loop(lines: list[tuple[int, str]], dim: int) -> np.ndarray:
     """Read a lone bitstring, or amplitude lines one at a time naming the first bad line."""
     if len(lines) == 1 and " " not in lines[0][1] and set(lines[0][1]) <= {"0", "1"}:
         lineno, bits = lines[0]
-        if 2 ** len(bits) != dim:
+        if 2 ** len(bits) != dim:  # past 64 bits, 2**n: str() of a huge int is slow, or refused
+            described = 2 ** len(bits) if len(bits) <= 64 else f"2**{len(bits)}"
             raise ParseFailure(
                 f"line {lineno}: bitstring of length {len(bits)} describes "
-                f"dimension {2 ** len(bits)}, but the system has dimension {dim}"
+                f"dimension {described}, but the system has dimension {dim}"
             )
         return ket_of_bits(bits)
     v = np.zeros(dim, dtype=np.complex128)
@@ -200,13 +209,13 @@ def _amplitude_loop(lines: list[tuple[int, str]], dim: int) -> np.ndarray:
     for lineno, line in lines:
         fields = line.split()
         if len(fields) not in (2, 3):
-            raise ParseFailure(f"line {lineno}: expected `<index> <re> [<im>]`, got {line!r}")
+            raise ParseFailure(f"line {lineno}: expected `<index> <re> [<im>]`, got {_echo(line)}")
         try:
             idx = int(fields[0])
         except ValueError:
-            raise ParseFailure(f"line {lineno}: index {fields[0]!r} is not an integer")
+            raise ParseFailure(f"line {lineno}: index {_echo(fields[0])} is not an integer")
         if not 0 <= idx < dim:
-            raise ParseFailure(f"line {lineno}: index {idx} out of range 0..{dim - 1}")
+            raise ParseFailure(f"line {lineno}: index {_echo(idx, str)} out of range 0..{dim - 1}")
         if idx in filled:
             raise ParseFailure(f"line {lineno}: index {idx} listed twice")
         filled.add(idx)
@@ -312,9 +321,19 @@ def _pair_texts(xs, indent: str) -> list[str] | None:
 # ------------------------------------------------------------ subcommands
 
 def _load_file(path: str) -> str:
+    """A graph or state file's text, read up to the most that a valid input needs: a header and a
+    64-byte line per entry of a ``MAX_DIM`` x ``MAX_DIM`` graph (1 GiB).  A longer file is refused
+    once that much is read, so an endless one (``/dev/zero``) is too."""
+    limit = 64 * (MAX_DIM**2 + 1)
+    chunks, size = [], 0
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb", buffering=0) as fh:  # each read is one system call, into a buffer of its size
+            while size <= limit and (chunk := fh.read(min(1 << 20, limit + 1 - size))):
+                chunks.append(chunk)
+                size += len(chunk)
+        if size > limit:
+            raise ParseFailure(f"cannot read {path}: longer than the limit of {limit} bytes")
+        return b"".join(chunks).decode("utf-8")  # newlines as written: the readers split on each kind
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseFailure(f"cannot read {path}: {exc}") from exc
 

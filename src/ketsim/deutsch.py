@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import as_state
-from .gates import Gate, _truth_table_matrix, apply, ket_of_bits, parallel, standard_gate
+from .gates import Gate, apply, ket_of_bits, parallel, standard_gate
 from .measurement import basis_distribution
 
 # Classification guard: the top-wire distribution is analytically a point
@@ -56,14 +56,13 @@ BINARY_FUNCTIONS = {
 }
 
 
-def _oracle_gate(f0: int, f1: int) -> Gate:
-    # column 2x + y goes to row 2x + (y XOR f(x))
-    m = _truth_table_matrix({0: f0, 1: 1 - f0, 2: 2 + f1, 3: 3 - f1}, 2, 2)
-    return Gate(f"oracle({f0},{f1})", m, 2, 2, quantum=True)
-
-
 # Built and validated once, as the standard gates are: a Gate is frozen and its matrix read-only.
-_ORACLES = {(f0, f1): _oracle_gate(f0, f1) for f0 in (0, 1) for f1 in (0, 1)}
+# Column 2x + y holds its 1 in row 2x + (y XOR f(x)).
+_ORACLES = {
+    (f0, f1): Gate(f"oracle({f0},{f1})", np.equal.outer(range(4), [f0, 1 - f0, 2 + f1, 3 - f1]), 2, 2,
+                   quantum=True)
+    for f0 in (0, 1) for f1 in (0, 1)
+}
 
 
 def oracle_matrix(f: BinaryFunction) -> Gate:

@@ -147,8 +147,10 @@ def evolve(sys: RegimeSystem, state, steps: int) -> np.ndarray:
     scatter of the counts.  A strict stochastic or quantum run clicks in
     blocks and checks each block's click inputs together
     (``_checked_clicks``), with the same results and refusals as checking
-    them one at a time.  A result that is not finite, or unchecked counts
-    that int64 does not hold, raise ValueError, no warning.
+    them one at a time.  An unchecked run's clicks are each exact and
+    finite, or refused at the first that is not (``_product``).  A result
+    that is not finite, or unchecked counts that int64 does not hold, raise
+    ValueError, no warning.
     """
     steps = as_count(steps, "steps")
     x = as_state(state)
@@ -160,17 +162,15 @@ def evolve(sys: RegimeSystem, state, steps: int) -> np.ndarray:
         out = np.zeros(sys.dim, dtype=np.int64)
         np.add.at(out, _power(sys._dst, steps), _check_strict_state(sys, x))
         return out
-    if sys.mode == "unchecked" and (dtype := np.result_type(sys.matrix, x)).kind in "iu":
-        limit = _limit(np.matmul, sys.matrix, dtype)  # once per call: a click costs one max |x|
+    if sys.mode == "unchecked":
+        dtype = np.result_type(sys.matrix, x)
+        limit = _limit(np.matmul, sys.matrix, dtype) if dtype.kind in "iu" else None  # once per call
         for _ in range(steps):
             x = _product(np.matmul, sys.matrix, x, limit)
         return x
     with np.errstate(over="ignore", invalid="ignore"):  # the finite check below reports it
-        if sys.mode == "strict":  # the caller's state is checked here, later click inputs in blocks
-            x = sys.matrix @ _checked_clicks(sys, _check_strict_state(sys, x), steps - 1)
-        else:
-            for _ in range(steps):
-                x = sys.matrix @ x
+        # strict stochastic or quantum: the caller's state is checked here, later click inputs in blocks
+        x = sys.matrix @ _checked_clicks(sys, _check_strict_state(sys, x), steps - 1)
     _require_finite_numbers(x, "state")
     return x
 

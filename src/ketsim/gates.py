@@ -18,8 +18,8 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .algebra import (DEFAULT_TOL, _kron, _product, _require_finite_numbers, _unitary_deviation, as_count,
-                      as_matrix, as_state, is_deterministic, refuse)
+from .algebra import (DEFAULT_TOL, _kron, _product, _unitary_deviation, as_count, as_matrix, as_state,
+                      is_deterministic, refuse)
 
 _EPS = float(np.finfo(float).eps)  # 2**-52, twice the unit roundoff of float64
 
@@ -28,12 +28,15 @@ _EPS = float(np.finfo(float).eps)  # 2**-52, twice the unit roundoff of float64
 class Gate:
     """A named matrix on fixed input/output wires, checked once when built; read-only after.
 
-    A quantum ``circuit_matrix`` result that is cut in two keeps its two
-    sides, top and below, and its ``matrix``, their Kronecker product, is
-    joined when it is first read (``__getattr__``), then kept.  Until then
-    the gate holds 4^p + 4^(n-p) entries for a cut after p of its n wires,
-    in place of 4^n.  Two threads that read it first at once may each join
-    it, to the same bytes.
+    Every product of gates (``identity``, ``sequential``, ``parallel``,
+    ``circuit_matrix``) is made by ``_product_gate`` from its Kronecker
+    parts, with a bound on its deviation in place of a second check.  A
+    quantum product kept in two parts, top and below (a cut
+    ``circuit_matrix`` result), joins its ``matrix`` when it is first read
+    (``__getattr__``), then keeps it.  Until then the gate holds
+    4^p + 4^(n-p) entries for a cut after p of its n wires, in place of
+    4^n.  Two threads that read it first at once may each join it, to the
+    same bytes.
     """
 
     name: str
@@ -55,7 +58,7 @@ class Gate:
             )
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        bound = math.inf  # ``_bound``: a bound on ||M† M - I||_2 (``_from_checked`` sets a product's)
+        bound = math.inf  # ``_bound``: a bound on ||M† M - I||_2 (``_product_gate`` sets a product's)
         if self.quantum:
             if self.in_bits != self.out_bits:
                 raise ValueError(f"gate {self.name!r} flagged quantum but maps {self.in_bits} "
@@ -131,38 +134,35 @@ def _product_bound(a: float, b: float, dot: int, columns: int) -> float:
     return _grown(_grown(a, phi * (2 + phi)), b)
 
 
-def _from_checked(name: str, m: np.ndarray, in_bits: int, out_bits: int, quantum: bool,
+def _product_gate(name: str, parts: tuple[np.ndarray, ...], in_bits: int, out_bits: int, quantum: bool,
                   bound: float) -> Gate:
-    """A gate whose matrix ``m`` is a new product of checked gates (or the identity), kept without a copy.
+    """The gate whose matrix is the Kronecker product of ``parts``, new products of checked gates
+    (or the identity), kept without a copy: every product gate is made here.
 
-    A quantum product whose ``bound`` (``_product_bound``) is within
-    DEFAULT_TOL passes ``validate``, so it is not checked again; past it,
-    it is checked as any new gate is.  A classical product is checked to be
-    finite, as ``Gate`` checks it, since finite parts can multiply past the
-    float range (``sequential`` and ``parallel`` refuse it sooner, in ``_product``).
+    A quantum product whose ``bound`` (``_product_bound``, the join's
+    rounding included) is within DEFAULT_TOL passes ``validate``, so it is
+    not checked again, and one of two parts keeps them as its sides, top
+    and below, joined when its ``matrix`` is first read.  Every other
+    product is joined here: a quantum one past DEFAULT_TOL is checked as any
+    new gate is, and a classical one is checked to be finite, as ``Gate``
+    checks it, since finite parts can multiply past the float range.
     """
-    if not quantum:
-        as_matrix(m)
-    elif bound > DEFAULT_TOL:
-        refuse(m, "quantum", DEFAULT_TOL, f"gate {name!r} flagged quantum but ")
-    m.setflags(write=False)
     g = object.__new__(Gate)  # the fields Gate.__post_init__ would set, and the bound
-    vars(g).update(name=name, matrix=m, in_bits=in_bits, out_bits=out_bits, quantum=quantum,
+    vars(g).update(name=name, in_bits=in_bits, out_bits=out_bits, quantum=quantum,
                    _bound=bound if quantum else math.inf)
-    return g
-
-
-def _unjoined(name: str, wires: int, sides: tuple[np.ndarray, np.ndarray], bound: float) -> Gate:
-    """A quantum gate whose matrix is top ⊗ below, new products of checked gates, joined when first read.
-
-    Its ``bound`` (``_product_bound``, the join's rounding included) is
-    within DEFAULT_TOL, so the joined matrix would pass ``validate``, and
-    it is not validated, as ``_from_checked`` would not validate it.
-    """
-    for side in sides:
-        side.setflags(write=False)
-    g = object.__new__(Gate)  # as ``_from_checked``'s, with the sides in place of the matrix
-    vars(g).update(name=name, in_bits=wires, out_bits=wires, quantum=True, _bound=bound, _sides=sides)
+    if quantum and len(parts) == 2 and bound <= DEFAULT_TOL:
+        vars(g)["_sides"] = parts
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # a product that is not finite is refused below
+            m = reduce(_kron, parts)
+        if not quantum:
+            as_matrix(m)
+        elif bound > DEFAULT_TOL:
+            refuse(m, "quantum", DEFAULT_TOL, f"gate {name!r} flagged quantum but ")
+        vars(g)["matrix"] = m
+        parts = (m,)
+    for part in parts:
+        part.setflags(write=False)
     return g
 
 
@@ -181,13 +181,6 @@ def ket_of_bits(bits: str) -> np.ndarray:
     return v
 
 
-def _truth_table_matrix(table: dict[int, int], in_bits: int, out_bits: int) -> np.ndarray:
-    m = np.zeros((2**out_bits, 2**in_bits))
-    for col, row in table.items():
-        m[row, col] = 1.0
-    return m
-
-
 def _identity_name(wires: int) -> str:
     return f"I({wires})" if wires != 1 else "I"
 
@@ -195,21 +188,22 @@ def _identity_name(wires: int) -> str:
 def identity(wires: int) -> Gate:
     """Identity gate on the given number of wires: exactly unitary, so built without ``validate``."""
     wires = as_count(wires, "wires")
-    return _from_checked(_identity_name(wires), np.eye(2**wires), wires, wires, True, 0.0)
+    return _product_gate(_identity_name(wires), (np.eye(2**wires),), wires, wires, True, 0.0)
 
 
-# Built and validated once: a Gate is frozen and its matrix read-only, so lookups share it.
+# Built and validated once: a Gate is frozen and its matrix read-only, so lookups share it.  A 0/1
+# gate is given by its column map: column j holds its one 1 in row dst[j], so entry [i, j] is dst[j] == i.
 _STANDARD_GATES = {
     g.name: g
     for g in (
         Gate("NOT", np.array([[0.0, 1.0], [1.0, 0.0]]), 1, 1, quantum=True),
-        Gate("AND", _truth_table_matrix({0: 0, 1: 0, 2: 0, 3: 1}, 2, 1), 2, 1, quantum=False),
-        Gate("NAND", _truth_table_matrix({0: 1, 1: 1, 2: 1, 3: 0}, 2, 1), 2, 1, quantum=False),
-        Gate("OR", _truth_table_matrix({0: 0, 1: 1, 2: 1, 3: 1}, 2, 1), 2, 1, quantum=False),
-        Gate("NOR", _truth_table_matrix({0: 1, 1: 0, 2: 0, 3: 0}, 2, 1), 2, 1, quantum=False),
+        Gate("AND", np.equal.outer(range(2), [0, 0, 0, 1]), 2, 1, quantum=False),
+        Gate("NAND", np.equal.outer(range(2), [1, 1, 1, 0]), 2, 1, quantum=False),
+        Gate("OR", np.equal.outer(range(2), [0, 1, 1, 1]), 2, 1, quantum=False),
+        Gate("NOR", np.equal.outer(range(2), [1, 0, 0, 0]), 2, 1, quantum=False),
         Gate("H", np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2), 1, 1, quantum=True),
         # control on the top wire: |x,y> -> |x, x XOR y>
-        Gate("CNOT", _truth_table_matrix({0: 0, 1: 1, 2: 3, 3: 2}, 2, 2), 2, 2, quantum=True),
+        Gate("CNOT", np.equal.outer(range(4), [0, 1, 3, 2]), 2, 2, quantum=True),
         identity(1),
     )
 }
@@ -232,27 +226,17 @@ def sequential(first: Gate, second: Gate) -> Gate:
             f"cannot run {second.name!r} ({second.in_bits} wires in) after "
             f"{first.name!r} ({first.out_bits} wires out)"
         )
-    return _from_checked(
-        f"{first.name}>{second.name}",
-        _product(np.matmul, second.matrix, first.matrix),
-        first.in_bits,
-        second.out_bits,
-        first.quantum and second.quantum,
-        _product_bound(second._bound, first._bound, 2**second.in_bits, 2**first.in_bits),
-    )
+    return _product_gate(f"{first.name}>{second.name}", (_product(np.matmul, second.matrix, first.matrix),),
+                         first.in_bits, second.out_bits, first.quantum and second.quantum,
+                         _product_bound(second._bound, first._bound, 2**second.in_bits, 2**first.in_bits))
 
 
 def parallel(top: Gate, bottom: Gate) -> Gate:
     """Gate acting as ``top`` on the upper wires and ``bottom`` on the lower."""
     in_bits = top.in_bits + bottom.in_bits
-    return _from_checked(
-        f"{top.name}|{bottom.name}",
-        _product(_kron, top.matrix, bottom.matrix),
-        in_bits,
-        top.out_bits + bottom.out_bits,
-        top.quantum and bottom.quantum,
-        _product_bound(top._bound, bottom._bound, 1, 2**in_bits),
-    )
+    return _product_gate(f"{top.name}|{bottom.name}", (_product(_kron, top.matrix, bottom.matrix),),
+                         in_bits, top.out_bits + bottom.out_bits, top.quantum and bottom.quantum,
+                         _product_bound(top._bound, bottom._bound, 1, 2**in_bits))
 
 
 def apply(g: Gate, state) -> np.ndarray:
@@ -275,11 +259,7 @@ def apply(g: Gate, state) -> np.ndarray:
     if sides is None:
         return _product(np.matmul, g.matrix, as_state(x))
     top, below = sides
-    grid = as_state(x).reshape(top.shape[1], below.shape[1])
-    with np.errstate(over="ignore", invalid="ignore"):  # an inf in top @ grid leaves the result not finite
-        out = (top @ grid @ below.T).reshape(-1)
-    _require_finite_numbers(out, "state")
-    return out
+    return _product(lambda a, v: (a @ v.reshape(a.shape[1], -1) @ below.T).reshape(-1), top, as_state(x))
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,12 +290,13 @@ class Circuit:
                 )
             width = sum(g.out_bits for g in layer)
         gates = [g for layer in layers for g in layer]
-        quantum_only = [g for g in gates if g.quantum and not g._deterministic]
-        irreversible = [g for g in gates if not g.quantum]
-        if quantum_only and irreversible:
+        irreversible = next((g for g in gates if not g.quantum), None)
+        # only then is a quantum gate's matrix read, to tell a 0/1 one (which may mix) from the rest
+        quantum_only = irreversible and next((g for g in gates if g.quantum and not g._deterministic), None)
+        if quantum_only:
             raise ValueError(
-                f"cannot mix irreversible gate {irreversible[0].name!r} with "
-                f"quantum gate {quantum_only[0].name!r} in one circuit"
+                f"cannot mix irreversible gate {irreversible.name!r} with "
+                f"quantum gate {quantum_only.name!r} in one circuit"
             )
 
     @property
@@ -383,24 +364,18 @@ def _parts(wires: int, layers: tuple[tuple[Gate, ...], ...]) -> tuple[tuple[np.n
     """The matrix of layers on ``wires`` input wires as its Kronecker factors, and its bound.
 
     Uncut by ``_cut``, the one factor is the layers contracted whole.  Cut,
-    the two factors are the sides above and below, each worked out as
-    ``_matrix``, and the bound allows for their join's rounding as
-    ``parallel``'s does.
+    the two factors are the sides above and below, each worked out by
+    ``_parts`` and joined, and the bound allows for their join's rounding
+    as ``parallel``'s does.
     """
     cut = _cut(wires, layers)
     if cut is None:
         total, bound = _contract(wires, layers)
         return (total,), bound
     p, at = cut
-    top, top_bound = _matrix(p, tuple(layer[:k] for layer, k in zip(layers, at)))
-    below, below_bound = _matrix(wires - p, tuple(layer[k:] for layer, k in zip(layers, at)))
-    return (top, below), _product_bound(top_bound, below_bound, 1, 2**wires)
-
-
-def _matrix(wires: int, layers: tuple[tuple[Gate, ...], ...]) -> tuple[np.ndarray, float]:
-    """The matrix of layers on ``wires`` input wires and its bound: ``_parts``, joined by one Kronecker product."""
-    parts, bound = _parts(wires, layers)
-    return reduce(_kron, parts), bound
+    (top, a), (below, b) = (_parts(p, tuple(layer[:k] for layer, k in zip(layers, at))),
+                            _parts(wires - p, tuple(layer[k:] for layer, k in zip(layers, at))))
+    return (reduce(_kron, top), reduce(_kron, below)), _product_bound(a, b, 1, 2**wires)
 
 
 def circuit_matrix(c: Circuit) -> Gate:
@@ -422,15 +397,16 @@ def circuit_matrix(c: Circuit) -> Gate:
     ``_CUT_WIRES`` or more wires is cut once, at the free wire closest to
     its middle (``_cut``).  Each side is contracted whole on its own 2^w
     wires when narrower than ``_CUT_WIRES``, and cut again by the same
-    rule when not (``_matrix``).  The two sides are joined by one
+    rule when not (``_parts``).  The two sides are joined by one
     Kronecker product, a 4^n pass between two matrices of about 2^(n/2)
     rows, in place of a full-size pass per gate.  The result agrees with
     the per-gate product up to rounding, not bit for bit.
 
-    A cut quantum circuit whose bound (below) is within DEFAULT_TOL keeps
-    its two sides and is not joined here: its ``matrix`` is joined by the
-    same Kronecker product when first read, and ``apply`` sends a state
-    through the two sides without it.  Every other result is joined at once.
+    The result is made as every product gate is (``_product_gate``): a
+    cut quantum circuit whose bound (below) is within DEFAULT_TOL keeps its
+    two sides, its ``matrix`` is joined by the same Kronecker product when
+    first read, and ``apply`` sends a state through the two sides without
+    it.  Every other result is joined at once.
 
     Each gate was checked when it was built, so the result is not
     validated again while it is sure to pass: every quantum gate carries
@@ -446,9 +422,6 @@ def circuit_matrix(c: Circuit) -> Gate:
     name = _identity_name(c.wires) + "".join(
         ">" + "|".join(g.name for g in layer) for layer in c.layers if layer)
     quantum = all(g.quantum for layer in c.layers for g in layer)
-    with np.errstate(over="ignore", invalid="ignore"):  # a result that is not finite is refused below
+    with np.errstate(over="ignore", invalid="ignore"):  # a result that is not finite is refused when made
         parts, bound = _parts(c.wires, c.layers)
-        if len(parts) == 2 and quantum and bound <= DEFAULT_TOL:
-            return _unjoined(name, c.wires, parts, bound)
-        total = reduce(_kron, parts)
-    return _from_checked(name, total, c.wires, c.out_wires, quantum, bound)
+    return _product_gate(name, parts, c.wires, c.out_wires, quantum, bound)

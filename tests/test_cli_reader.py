@@ -7,6 +7,9 @@ same array, bit for bit and with the same dtype; on text with a bad line
 they must raise the same message.
 """
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -21,12 +24,18 @@ from ketsim.gates import ket_of_bits
 # ------------------------------------------------------ reference readers
 
 
+def _quoted(shown):
+    """A piece of a bad line as an error message quotes it: its first 80 characters, `...` if longer."""
+    return shown if len(shown) <= 80 else shown[:80] + "..."
+
+
 def _reference_content_lines(text):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             if not line.isascii() or "_" in line:
-                raise ParseFailure(f"line {lineno}: expected ASCII text without `_`, got {line!a}")
+                raise ParseFailure(
+                    f"line {lineno}: expected ASCII text without `_`, got {_quoted(ascii(line))}")
             yield lineno, line
 
 
@@ -35,9 +44,9 @@ def _reference_complex_value(fields, noun, lineno, line):
         re_part = float(fields[0])
         im_part = float(fields[1]) if len(fields) == 2 else 0.0
     except ValueError:
-        raise ParseFailure(f"line {lineno}: bad {noun} in {line!r}")
+        raise ParseFailure(f"line {lineno}: bad {noun} in {_quoted(repr(line))}")
     if not (math.isfinite(re_part) and math.isfinite(im_part)):
-        raise ParseFailure(f"line {lineno}: {noun} must be finite in {line!r}")
+        raise ParseFailure(f"line {lineno}: {noun} must be finite in {_quoted(repr(line))}")
     return complex(re_part, im_part)
 
 
@@ -52,29 +61,29 @@ def reference_parse_graph(text):
     lineno, header = lines[0]
     fields = header.split()
     if len(fields) != 2 or fields[0] != "dim":
-        raise ParseFailure(f"line {lineno}: expected `dim <n>`, got {header!r}")
+        raise ParseFailure(f"line {lineno}: expected `dim <n>`, got {_quoted(repr(header))}")
     try:
         dim = int(fields[1])
     except ValueError:
-        raise ParseFailure(f"line {lineno}: dimension {fields[1]!r} is not an integer")
+        raise ParseFailure(f"line {lineno}: dimension {_quoted(repr(fields[1]))} is not an integer")
     if dim < 1:
-        raise ParseFailure(f"line {lineno}: dimension must be positive, got {dim}")
+        raise ParseFailure(f"line {lineno}: dimension must be positive, got {_quoted(str(dim))}")
     if dim > MAX_DIM:
-        raise ParseFailure(f"line {lineno}: dimension {dim} exceeds the limit of {MAX_DIM}")
+        raise ParseFailure(f"line {lineno}: dimension {_quoted(str(dim))} exceeds the limit of {MAX_DIM}")
     m = np.zeros((dim, dim), dtype=np.complex128)
     seen = set()
     for lineno, line in lines[1:]:
         fields = line.split()
         if len(fields) not in (3, 4):
             raise ParseFailure(
-                f"line {lineno}: expected `<from> <to> <re> [<im>]`, got {line!r}"
+                f"line {lineno}: expected `<from> <to> <re> [<im>]`, got {_quoted(repr(line))}"
             )
         try:
             src, dst = int(fields[0]), int(fields[1])
         except ValueError:
-            raise ParseFailure(f"line {lineno}: vertex indices must be integers in {line!r}")
+            raise ParseFailure(f"line {lineno}: vertex indices must be integers in {_quoted(repr(line))}")
         if not (0 <= src < dim and 0 <= dst < dim):
-            raise ParseFailure(f"line {lineno}: vertex out of range 0..{dim - 1} in {line!r}")
+            raise ParseFailure(f"line {lineno}: vertex out of range 0..{dim - 1} in {_quoted(repr(line))}")
         if (src, dst) in seen:
             raise ParseFailure(f"line {lineno}: duplicate edge {src} -> {dst}")
         seen.add((src, dst))
@@ -88,9 +97,10 @@ def reference_parse_state(text, dim):
         token = lines[0][1]
         if " " not in token and set(token) <= {"0", "1"}:
             if 2 ** len(token) != dim:
+                described = 2 ** len(token) if len(token) <= 64 else f"2**{len(token)}"
                 raise ParseFailure(
                     f"line {lines[0][0]}: bitstring of length {len(token)} describes "
-                    f"dimension {2 ** len(token)}, but the system has dimension {dim}"
+                    f"dimension {described}, but the system has dimension {dim}"
                 )
             return ket_of_bits(token)
     v = np.zeros(dim, dtype=np.complex128)
@@ -98,13 +108,13 @@ def reference_parse_state(text, dim):
     for lineno, line in lines:
         fields = line.split()
         if len(fields) not in (2, 3):
-            raise ParseFailure(f"line {lineno}: expected `<index> <re> [<im>]`, got {line!r}")
+            raise ParseFailure(f"line {lineno}: expected `<index> <re> [<im>]`, got {_quoted(repr(line))}")
         try:
             idx = int(fields[0])
         except ValueError:
-            raise ParseFailure(f"line {lineno}: index {fields[0]!r} is not an integer")
+            raise ParseFailure(f"line {lineno}: index {_quoted(repr(fields[0]))} is not an integer")
         if not 0 <= idx < dim:
-            raise ParseFailure(f"line {lineno}: index {idx} out of range 0..{dim - 1}")
+            raise ParseFailure(f"line {lineno}: index {_quoted(str(idx))} out of range 0..{dim - 1}")
         if idx in filled:
             raise ParseFailure(f"line {lineno}: index {idx} listed twice")
         filled.add(idx)
@@ -530,3 +540,84 @@ def test_an_index_numpy_before_2_read_through_float_is_refused_naming_its_line(t
     assert run_cli(capsys, "validate", str(graph), "--regime", "quantum") == (
         2, "", "error: line 18: vertex indices must be integers in '1.0 1 0.5'\n"
     )
+
+
+# ------------------------------------------------ long lines and long files
+
+
+def test_a_long_bad_line_is_quoted_cut_at_a_fixed_width(tmp_path, capsys):
+    graph = tmp_path / "h.graph"
+    graph.write_bytes(hadamard_pair_graph(False))
+    line = " ".join(["0"] * 2048)  # 2,048 fields: 4,095 characters
+    quoted = repr(line)[:80] + "..."
+    state = tmp_path / "long.state"
+    for text, lineno in ((line, 1), (f"0 1\n{line}\n", 2)):
+        state.write_text(text)
+        message = f"line {lineno}: expected `<index> <re> [<im>]`, got {quoted}"
+        assert run_cli(capsys, "evolve", str(graph), "--state", str(state)) == (2, "", f"error: {message}\n")
+        assert outcome(reference_parse_state, text, 4) == f"ParseFailure: {message}"
+    nines = "9" * 100
+
+    def cut(shown):
+        return shown[:80] + "..."
+
+    cases = [  # graph text, and its message quoting the bad line or field cut at 80 characters
+        (f"dim 2\n0 1 {nines}x\n", f"line 2: bad weight in {cut(repr(f'0 1 {nines}x'))}"),
+        (f"dim 2\n{line}\n", f"line 2: expected `<from> <to> <re> [<im>]`, got {quoted}"),
+        (f"dim 2\n0 {nines} 1\n", f"line 2: vertex out of range 0..1 in {cut(repr(f'0 {nines} 1'))}"),
+        (f"dim {nines}\n", f"line 1: dimension {cut(nines)} exceeds the limit of {MAX_DIM}"),
+        (f"dim -{nines}\n", f"line 1: dimension must be positive, got {cut('-' + nines)}"),
+        (f"dim x{nines}\n", f"line 1: dimension {cut(repr('x' + nines))} is not an integer"),
+        (f"{line}\n", f"line 1: expected `dim <n>`, got {quoted}"),
+        (f"dim 2\n0 1 1{chr(0x661) * 30}\n",
+         f"line 2: expected ASCII text without `_`, got {cut(ascii('0 1 1' + chr(0x661) * 30))}"),
+    ]
+    for text, message in cases:
+        assert outcome(parse_graph, text) == f"ParseFailure: {message}"
+        assert outcome(reference_parse_graph, text) == f"ParseFailure: {message}"
+    for text, message in ((f"{nines} 1\n", f"line 1: index {cut(nines)} out of range 0..3"),
+                          (f"x{nines} 1\n", f"line 1: index {cut(repr('x' + nines))} is not an integer"),
+                          ("1" * 20000, "line 1: bitstring of length 20000 describes dimension 2**20000, "
+                                        "but the system has dimension 4")):
+        assert outcome(parse_state, text, 4) == f"ParseFailure: {message}"
+        assert outcome(reference_parse_state, text, 4) == f"ParseFailure: {message}"
+
+
+def test_a_file_longer_than_the_read_limit_is_refused(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_DIM", 4)
+    limit = 64 * (4**2 + 1)  # a header and one 64-byte line per entry of a 4 x 4 graph
+    graph, state = tmp_path / "g.graph", tmp_path / "s.state"
+    body = "dim 2\n0 0 1\n1 1 1\n"
+    state.write_text("0 1\n")
+    graph.write_text(body + "#" * (limit - len(body)))
+    assert run_cli(capsys, "evolve", str(graph), "--state", str(state), "--regime", "det") == (
+        0, "dim 2\n0 1\n1 0\n", "")
+    refused = f"error: cannot read {{}}: longer than the limit of {limit} bytes\n"
+    graph.write_text(body + "#" * (limit - len(body) + 1))
+    assert run_cli(capsys, "validate", str(graph), "--regime", "det") == (2, "", refused.format(graph))
+    graph.write_text(body)
+    state.write_text("0 1\n" + "#" * limit)
+    assert run_cli(capsys, "evolve", str(graph), "--state", str(state), "--regime", "det") == (
+        2, "", refused.format(state))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_an_endless_file_is_refused_once_the_limit_is_read():
+    # in a child under a 2 GiB address-space cap, so a reader without a limit fails fast
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31)); "
+            "from ketsim import cli; cli.MAX_DIM = 4; "
+            "sys.exit(cli.main(['validate', '/dev/zero', '--regime', 'det']))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"error: cannot read /dev/zero: longer than the limit of {64 * 17} bytes\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_a_file_read_from_a_pipe_is_read_whole():
+    # 256 KiB of comments, more than a pipe holds at once, so the reader sees short reads; the edges
+    # come last, so a reader that stopped at a short read would see none
+    text = "dim 2\n" + "# padding\n" * 26214 + "0 1 1\n1 0 1\n"
+    code = "import sys; from ketsim import cli; sys.exit(cli.main(['validate', '/dev/stdin', '--regime', 'det']))"
+    done = subprocess.run([sys.executable, "-c", code], input=text, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "OK\n", "")

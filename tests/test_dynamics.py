@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import ketsim.dynamics
 from ketsim.algebra import DEFAULT_TOL, adjoint, as_state, bool_mat_mul, kron, mat_mul, mat_vec, norm, normalize, validate
 from ketsim.dynamics import (
     _BLOCK_TOL,
@@ -888,6 +889,28 @@ def test_products_are_exact_or_refused_without_a_warning(run, want):
             out = run()
             assert out.dtype == np.int64 and out.tolist() == want
     assert [str(w.message) for w in caught] == []
+
+
+def test_an_unchecked_run_is_refused_at_its_first_click_that_is_not_finite():
+    with mock.patch("ketsim.dynamics._product", wraps=ketsim.dynamics._product) as clicks:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as exc:
+                evolve(HUGE, [1e100], 1000)  # click 1 reaches 1e300, click 2 overflows
+    assert str(exc.value) == "state entries must all be finite" and clicks.call_count == 2
+
+
+@pytest.mark.parametrize("regime", ["deterministic", "stochastic", "quantum"])
+def test_an_unchecked_run_is_bitwise_the_plain_loop(regime):
+    rng = np.random.default_rng(89)
+    for n in (1, 3, 8):
+        m = rng.integers(-3, 4, size=(n, n))
+        sys_ = unchecked(regime, m if regime == "deterministic" else m * rng.standard_normal((n, n)))
+        x = want = rng.integers(0, 5, size=n) if regime == "deterministic" else rng.standard_normal(n)
+        for _ in range(7):
+            want = sys_.matrix @ want
+        got = evolve(sys_, x, 7)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 # edge values beside small ones, which are drawn more often so that some products stay in range

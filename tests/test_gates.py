@@ -348,6 +348,17 @@ def test_mixing_quantum_and_irreversible_gates_rejected():
         Circuit(3, [[H, standard_gate("AND")]])
 
 
+def test_a_circuit_of_quantum_gates_reads_no_matrix_to_tell_them_apart():
+    g = circuit_matrix(Circuit(8, [[H] * 8]))
+    Circuit(8, [[g]])
+    Circuit(9, [[g, standard_gate("NOT")], [I1, g]])
+    assert "matrix" not in vars(g)  # its sides were not joined to ask whether it is a 0/1 gate
+    for layers in ([[H, I1], [standard_gate("AND")]], [[standard_gate("AND")], [H]]):
+        with pytest.raises(ValueError) as exc:
+            Circuit(2, layers)
+        assert str(exc.value) == "cannot mix irreversible gate 'AND' with quantum gate 'H' in one circuit"
+
+
 def test_reversible_gates_mix_freely():
     Circuit(3, [[standard_gate("NOT"), standard_gate("CNOT")], [H, I1, I1]])
 
@@ -745,6 +756,22 @@ def test_a_circuit_with_no_layers_is_the_identity(wires):
 
 # --- a product of checked gates is not checked again ----------------------------------
 
+def test_every_kind_of_gate_keeps_its_exact_bound():
+    not_, cnot = standard_gate("NOT"), standard_gate("CNOT")
+    names = ("NOT", "AND", "NAND", "OR", "NOR", "H", "CNOT", "I")
+    library = {name: standard_gate(name)._bound for name in names}
+    assert library == {"NOT": 0.0, "AND": np.inf, "NAND": np.inf, "OR": np.inf, "NOR": np.inf,
+                       "H": 3.1086244689504383e-15, "CNOT": 0.0, "I": 0.0}
+    assert [identity(w)._bound for w in range(4)] == [0.0] * 4
+    assert sequential(H, H)._bound == 9.769962616701412e-15
+    assert sequential(H, not_)._bound == 6.6613381477509534e-15
+    assert parallel(H, cnot)._bound == 5.620772402844488e-15
+    unjoined = circuit_matrix(Circuit(8, [[H] * 8, [cnot] * 4]))
+    joined = circuit_matrix(Circuit(4, [[H] * 4, [cnot, cnot], [H, cnot, H]]))
+    assert "matrix" not in vars(unjoined) and unjoined._bound == 2.331554220730569e-13
+    assert "matrix" in vars(joined) and joined._bound == 1.6420842551838432e-13
+
+
 def assert_within_bound(g):
     """A quantum gate passes validate and its recorded bound covers its measured deviation."""
     if not g.quantum:
@@ -911,11 +938,11 @@ def unjoined_circuits(seed, count=12, most=10):
 
 
 def eager_join(c):
-    """today's matrix of a cut circuit, joined at once: ``_kron`` of its two sides, each by ``_matrix``."""
+    """A cut circuit's matrix joined at once: ``_kron`` of its two sides, each its ``_parts`` joined."""
     p, at = cut(c)
-    top = ketsim.gates._matrix(p, tuple(layer[:k] for layer, k in zip(c.layers, at)))[0]
-    below = ketsim.gates._matrix(c.wires - p, tuple(layer[k:] for layer, k in zip(c.layers, at)))[0]
-    return ketsim.algebra._kron(top, below)
+    sides = (ketsim.gates._parts(p, tuple(layer[:k] for layer, k in zip(c.layers, at)))[0],
+             ketsim.gates._parts(c.wires - p, tuple(layer[k:] for layer, k in zip(c.layers, at)))[0])
+    return ketsim.algebra._kron(*(reduce(ketsim.algebra._kron, parts) for parts in sides))
 
 
 def test_a_cut_quantum_circuit_keeps_its_sides_until_its_matrix_is_read():
