@@ -28,7 +28,7 @@ def _require_finite_numbers(a: np.ndarray, what: str) -> None:
     # bool, integer, float or complex; numpy stores a Python int beyond 64 bits as an object
     if a.dtype.kind not in "biufc":
         raise ValueError(f"{what} entries must be numbers, got dtype {a.dtype}")
-    if not np.isfinite(a).all():
+    if a.dtype.kind in "fc" and not np.isfinite(a).all():  # a bool or integer holds no inf or nan
         raise ValueError(f"{what} entries must all be finite")
 
 
@@ -132,9 +132,15 @@ def _non_boolean_entries(m: np.ndarray) -> np.ndarray:
     return np.argwhere((m != 0) & (m != 1))
 
 
-def is_deterministic(m: np.ndarray) -> bool:
-    """True for 0/1 entries with one 1 per column: each basis column goes to one basis row."""
-    return not _validate_deterministic(m, 0)
+def _column_map(m: np.ndarray) -> np.ndarray | None:
+    """``dst``, the row of each column's 1, when ``m`` is 0/1 with exactly one 1 per column; else None.
+
+    Each column's largest entry is 1 and ``m`` holds as many nonzeros as columns, so that 1 is each
+    column's only nonzero and sum_i i·m[i, j] is its row: three reductions, no array of m's shape.
+    """
+    if np.count_nonzero(m) != m.shape[1] or not (m.max(axis=0) == 1).all():
+        return None
+    return np.einsum("i,ij->j", np.arange(m.shape[0]), m).real.astype(np.intp)
 
 
 def _require_boolean(m: np.ndarray, side: str) -> np.ndarray:
@@ -349,6 +355,9 @@ def _listed(groups, limit: int | None) -> list[str]:
 
 
 def _validate_deterministic(m: np.ndarray, limit: int | None) -> list[str]:
+    """A column map (``_column_map``) passes; only a matrix that is not one has its violations listed."""
+    if _column_map(m) is not None:
+        return []
     bad = _non_boolean_entries(m)
     if bad.size:
         return _listed([(bad, lambda i, j: f"entry [{i},{j}] = {m[i, j]} is not 0 or 1")], limit)

@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import (DEFAULT_TOL, _kron, _limit, _product, _require_finite_numbers, as_count, as_matrix,
-                      as_state, as_tolerance, euclidean_norm, refuse, unit)
+from .algebra import (DEFAULT_TOL, _column_map, _kron, _limit, _product, _require_finite_numbers, as_count,
+                      as_matrix, as_state, as_tolerance, euclidean_norm, refuse, unit)
 
 MODES = ("strict", "unchecked")
 
@@ -83,12 +83,13 @@ class RegimeSystem:
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"system matrix must be square, got {m.shape[0]}x{m.shape[1]}")
         m = _coerce_regime_matrix(m, self.regime)  # a new array: never the caller's
-        if self.mode == "strict":
+        # strict deterministic: dst[j] is the row of column j's 1; refuse only words a failure
+        dst = _column_map(m) if self.mode == "strict" and self.regime == "deterministic" else None
+        if self.mode == "strict" and dst is None:
             refuse(m, self.regime, self.tol, f"matrix fails {self.regime} validation: ")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        if self.mode == "strict" and self.regime == "deterministic":  # dst[j]: the row of column j's 1
-            dst = m.argmax(axis=0)
+        if dst is not None:
             dst.setflags(write=False)
             object.__setattr__(self, "_dst", dst)
         elif self.mode == "strict":

@@ -18,8 +18,8 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .algebra import (DEFAULT_TOL, _kron, _product, _unitary_deviation, as_count, as_matrix, as_state,
-                      is_deterministic, refuse)
+from .algebra import (DEFAULT_TOL, _column_map, _kron, _product, _unitary_deviation, as_count, as_matrix,
+                      as_state, refuse)
 
 _EPS = float(np.finfo(float).eps)  # 2**-52, twice the unit roundoff of float64
 
@@ -73,7 +73,7 @@ class Gate:
             # DEFAULT_TOL that puts every true entry within deviation + 3·n·eps, and a matrix's
             # 2-norm is at most n times its largest entry.
             n = m.shape[0]
-            bound = 0.0 if self._deterministic else n * (deviation + 3 * n * _EPS)
+            bound = 0.0 if self._map is not None else n * (deviation + 3 * n * _EPS)
         object.__setattr__(self, "_bound", bound)
 
     def __getattr__(self, name):
@@ -89,8 +89,8 @@ class Gate:
     # Facts about the read-only matrix, each worked out once, when first asked for.
 
     @cached_property
-    def _deterministic(self) -> bool:
-        return is_deterministic(self.matrix)
+    def _map(self) -> np.ndarray | None:  # the row of each column's 1 (``_column_map``), or None
+        return _column_map(self.matrix)
 
     @cached_property
     def _identity(self) -> bool:
@@ -292,7 +292,7 @@ class Circuit:
         gates = [g for layer in layers for g in layer]
         irreversible = next((g for g in gates if not g.quantum), None)
         # only then is a quantum gate's matrix read, to tell a 0/1 one (which may mix) from the rest
-        quantum_only = irreversible and next((g for g in gates if g.quantum and not g._deterministic), None)
+        quantum_only = irreversible and next((g for g in gates if g.quantum and g._map is None), None)
         if quantum_only:
             raise ValueError(
                 f"cannot mix irreversible gate {irreversible.name!r} with "

@@ -1,4 +1,4 @@
-"""Seeded random inputs shared by the test modules, one copy of each.
+"""Seeded random inputs and plain reference rules shared by the test modules, one copy of each.
 
 Each generator draws from the ``numpy.random.Generator`` it is given, in a
 fixed order, so a seeded test sees the same inputs on every run.
@@ -28,3 +28,11 @@ def random_function_graph(rng, n):
     for src in range(n):
         m[int(rng.integers(n)), src] = 1
     return m
+
+
+def reference_column_map(m):
+    """Each column's argmax when every entry is 0 or 1 and each column holds exactly one 1; else None."""
+    m = np.asarray(m)
+    if np.isin(m, (0, 1)).all() and ((m == 1).sum(axis=0) == 1).all():
+        return m.argmax(axis=0)
+    return None

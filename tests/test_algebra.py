@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from ketsim.algebra import (
     DEFAULT_TOL,
     NAMED_VIOLATIONS,
+    _column_map,
     _kron,
     _listed,
     adjoint,
@@ -18,7 +19,6 @@ from ketsim.algebra import (
     as_matrix,
     as_state,
     bool_mat_mul,
-    is_deterministic,
     kron,
     mat_mul,
     mat_vec,
@@ -44,6 +44,7 @@ from ketsim.experiments import (
 )
 from ketsim.gates import Circuit, Gate, apply, identity, standard_gate
 from ketsim.measurement import is_product_state, random_source, sample_counts, spectral_decompose
+from reference import reference_column_map
 
 TOL = 1e-9
 
@@ -716,6 +717,32 @@ def test_a_clean_stochastic_validate_reads_the_matrix_in_place():
     assert peak < 2 * 2**20
 
 
+def test_a_clean_deterministic_validate_writes_no_matrix_sized_array():
+    """An int64 column map is read in place: at dim 1024 (8 MiB) validate's peak stays below 1.5 MiB."""
+    m = np.eye(1024, dtype=np.int64)[np.random.default_rng(5).permutation(1024)]
+    tracemalloc.start()
+    try:
+        assert validate(m, "deterministic") == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+def test_a_strict_deterministic_system_holds_one_int64_copy(dtype):
+    """At dim 1024 a strict deterministic RegimeSystem's peak stays below 10 MiB: its int64 matrix
+    (8 MiB), and for a float input the whole-number test of ``_coerce_regime_matrix`` (9 MiB)."""
+    m = np.eye(1024, dtype=dtype)[np.random.default_rng(6).permutation(1024)]
+    tracemalloc.start()
+    try:
+        sys_ = RegimeSystem("deterministic", m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sys_._dst is not None and peak < 10 * 2**20
+
+
 def _non_hermitian_matrix(rng, dim):
     """A dim x dim complex matrix that is hermitian, off by a little, or not hermitian at all."""
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -762,16 +789,21 @@ def test_every_refusal_is_its_prefix_and_the_limited_violations(entry):
         assert str(exc.value) == prefix + "; ".join(violations)
 
 
-def _reference_is_deterministic(m):
-    return bool(np.isin(m, (0, 1)).all() and ((m == 1).sum(axis=0) == 1).all())
+def _verdict(m):
+    """Whether ``_column_map`` finds a map, checked against ``reference_column_map``."""
+    got, want = _column_map(m), reference_column_map(m)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.dtype == np.intp and got.tolist() == want.tolist()
+    return got is not None
 
 
 @pytest.mark.parametrize("name", ["AND", "OR", "NAND", "NOR"])
 def test_the_irreversible_gates_are_deterministic(name):
     m = standard_gate(name).matrix
     square = np.vstack([m, np.zeros((2, 4))])  # rows of zeros: the same columns, so the same verdict
-    assert is_deterministic(m) == (validate(square, "deterministic") == []) == _reference_is_deterministic(m)
-    assert is_deterministic(m)
+    assert _verdict(m) == (validate(square, "deterministic") == []) == _verdict(square)
+    assert _verdict(m)
 
 
 def test_is_deterministic_is_a_passing_deterministic_validate():
@@ -782,7 +814,54 @@ def test_is_deterministic_is_a_passing_deterministic_validate():
         m = np.eye(dim)[:, rng.integers(dim, size=dim)]
         spoiled = rng.random((dim, dim)) < rng.random() / 3
         m = np.where(spoiled, rng.integers(0, 3, size=(dim, dim)), m)
-        verdict = is_deterministic(m)
-        assert verdict == (validate(m, "deterministic") == []) == _reference_is_deterministic(m)
+        verdict = _verdict(m)
+        assert verdict == (validate(m, "deterministic") == [])
         verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+# An entry a column map may hold in place of one of its own, by dtype kind: the 0/1 values themselves,
+# a negative zero, values a rounding away from 0 and 1, and imaginary parts.
+NEAR_BOOLEAN = {
+    "b": [False, True],
+    "i": [0, 1, 2, -1],
+    "f": [0.0, -0.0, 1.0, 2.0, -1.0, 0.5, 1 + 2.0**-52, 1 - 2.0**-53, 2.0**-1074],
+}
+NEAR_BOOLEAN["c"] = NEAR_BOOLEAN["f"] + [1j, -1j, 1 + 1j, complex(1, -0.0), complex(-0.0, -0.0), complex(1, 2.0**-1074)]
+
+
+@st.composite
+def column_map_candidates(draw):
+    """A 0/1 matrix with one 1 per column, any shape and dtype, laid out in memory in one of four ways,
+    with its zeros made negative or up to two entries replaced by ``NEAR_BOOLEAN`` values."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = draw(st.integers(1, 6))
+    columns = draw(st.just(rows) | st.integers(1, 6))  # square about half the time, so validate judges it
+    dtype = np.dtype(draw(st.sampled_from([np.int64, np.bool_, np.float64, np.complex128])))
+    m = np.zeros((rows, columns), dtype)
+    m[rng.integers(rows, size=columns), np.arange(columns)] = 1
+    if dtype.kind in "fc" and draw(st.booleans()):
+        m[m == 0] = -0.0
+    for _ in range(draw(st.integers(0, 2))):
+        m[rng.integers(rows), rng.integers(columns)] = draw(st.sampled_from(NEAR_BOOLEAN[dtype.kind]))
+    layout = draw(st.sampled_from(["C", "fortran", "transposed", "strided"]))
+    if layout == "fortran":
+        m = np.asfortranarray(m)
+    elif layout == "transposed":
+        m = m.T
+    elif layout == "strided":  # a view into a larger array, read in place
+        m = np.repeat(np.repeat(m, 2, axis=0), 3, axis=1)[::2, ::3]
+    return m
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(column_map_candidates())
+@example(np.array([[1.0, -0.0], [-0.0, 1.0]]))
+@example(np.array([[1 + 2.0**-52, 0.0], [0.0, 1.0]]))
+@example(np.array([[1j, 0], [0, 1]]))
+@example(np.array([[complex(1, -0.0), 0], [0, 1]]))
+@example(np.array([[False, True], [True, False]]))
+def test_a_column_map_is_found_exactly_when_deterministic_validate_passes(m):
+    verdict = _verdict(m)
+    if m.shape[0] == m.shape[1]:
+        assert (validate(m, "deterministic") == []) == verdict

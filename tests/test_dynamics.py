@@ -36,6 +36,22 @@ from ketsim.gates import Circuit, Gate, apply, circuit_matrix, parallel, sequent
 from reference import random_doubly_stochastic, random_function_graph, random_unitary
 
 
+@pytest.fixture(autouse=True, scope="module")
+def every_strict_deterministic_map_is_each_columns_argmax():
+    """Every strict deterministic system this module builds keeps, as ``_dst``, its matrix's argmax
+    down each column, read-only and of dtype intp."""
+    built = RegimeSystem.__post_init__
+
+    def checked(sys_):
+        built(sys_)
+        if sys_._dst is not None:
+            assert sys_._dst.dtype == np.intp and not sys_._dst.flags.writeable
+            assert sys_._dst.tolist() == sys_.matrix.argmax(axis=0).tolist()
+
+    with mock.patch.object(RegimeSystem, "__post_init__", checked):
+        yield
+
+
 def random_state(rng, n):
     return rng.normal(size=n) + 1j * rng.normal(size=n)
 
