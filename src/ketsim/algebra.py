@@ -11,8 +11,6 @@ inputs follow numpy promotion, and their products are finite or refused.
 """
 from __future__ import annotations
 
-from itertools import product
-
 import numpy as np
 
 DEFAULT_TOL = 1e-9
@@ -162,48 +160,18 @@ def bool_mat_mul(a, b) -> np.ndarray:
     return (_require_boolean(a, "left") @ _require_boolean(b, "right") > 0).astype(np.int64)
 
 
-_KRON_ROW_ENTRIES = 4096  # the smallest output that ``_kron`` writes row by row
-_KRON_BLOCK_ENTRIES = 16384  # the smallest output that ``_kron`` writes block by block
-
-
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two matrices, bit for bit, in one multiply with a long contiguous inner loop.
+    """np.kron of two matrices, bit for bit: one multiply, the longer column axis innermost.
 
-    For a of shape (i, j) and b of shape (k, l), entry [r·k + m, c·l + n]
-    of the result is a[r, c]·b[m, n], one multiply each.  Output row
-    r·k + m is np.repeat(a, l, axis=1)[r] times b's row m tiled j times,
-    so with both helpers built (each at most a quarter of the output when
-    i, k >= 4) one multiply writes every row in one contiguous pass of
-    j·l entries.  On a 2-core x86-64 VM one 512 x 512 product
-    (16 x 16 ⊗ 32 x 32) takes 0.19 ms this way, against 0.31 ms with the
-    short inner loop below and 0.34 ms for np.kron.
-
-    With fewer than 4 rows on a side, one helper would be half the output
-    or more, and below ``_KRON_ROW_ENTRIES`` output entries the extra calls
-    cost more than they save ((4 x 4) ⊗ (8 x 8): 10.7 against 8.3 us;
-    (8 x 8) ⊗ (8 x 8): 14.7 against 16.7 us), so numpy's inner loop runs
-    over the last axis of the operands as given: b's columns, l adjacent
-    entries per loop, or, when l < j, a's columns, j entries l apart.
-    From ``_KRON_BLOCK_ENTRIES`` output entries, a side of at most 4
-    entries (a one-wire gate, say) is joined block by block instead: one
-    multiply of the other side by each of its entries, into the
-    (i, k, j, l) view of the output (float64 (2 x 2) ⊗ (128 x 128): 48
-    against 85 us; below the floor, (2 x 2) ⊗ (32 x 32): 14 against 10 us).
+    Entry [r·k + m, c·l + n] of the join of a (i, j) and b (k, l) is
+    a[r, c]·b[m, n], written into the (i, k, j, l) view of a new C-ordered
+    output, with b's l columns innermost, or a's j columns when l < j.  Joins
+    run in ``kron``, ``parallel``, ``compose_parallel`` and product gates,
+    inside a cut circuit's sides, and on the first read of its ``matrix``.
     """
     (i, j), (k, l) = a.shape, b.shape
-    if i >= 4 and k >= 4 and i * j * k * l >= _KRON_ROW_ENTRIES:
-        rows_a = np.repeat(a, l, axis=1)[:, None, :]
-        rows_b = np.repeat(b[:, None, :], j, axis=1).reshape(k, j * l)
-        return (rows_a * rows_b).reshape(i * k, j * l)
     out = np.empty((i, k, j, l), np.result_type(a, b))
-    if min(i * j, k * l) <= 4 and i * j * k * l >= _KRON_BLOCK_ENTRIES:
-        if i * j <= 4:  # block [r, :, c, :] of the output is a[r, c] · b
-            for r, c in product(range(i), range(j)):
-                np.multiply(a[r, c], b, out=out[r, :, c])
-        else:  # block [:, m, :, n] is a · b[m, n]
-            for m, n in product(range(k), range(l)):
-                np.multiply(a, b[m, n], out=out[:, m, :, n])
-    elif l < j:
+    if l < j:
         np.multiply(a[:, None, None, :], b[None, :, :, None], out=out.transpose(0, 1, 3, 2), order="C")
     else:
         np.multiply(a[:, None, :, None], b[None, :, None, :], out=out, order="C")

@@ -264,9 +264,9 @@ def typed_matrix(rng, shape, dtype):
 @pytest.mark.parametrize("dtype_b", ["int64", "float64", "complex128"])
 def test_kron_is_numpys_kron_byte_for_byte(dtype_a, dtype_b):
     rng = np.random.default_rng(19)
-    # the row path takes (8, 8) ⊗ (8, 8) and up, 4,096 output entries; (4, 4) ⊗ (8, 8) is below it.
-    # From 16,384 entries a side of at most 4 entries is joined block by block; (2, 4) and (3, 3)
-    # are not, and (2, 2) ⊗ (32, 32) is below that floor
+    # b's l columns run innermost when l >= j, as in (2, 2) ⊗ (128, 128), and at the tie l == j,
+    # as in (8, 8) ⊗ (8, 8); a's j columns when l < j, as in (128, 128) ⊗ (2, 2) and (64, 96) ⊗ (3, 1).
+    # (1, 3) and (1, 1) are 1-row left sides, (2, 1) and (1, 1) 1-column ones, (3, 1) a 1-column right one
     for shape_a, shape_b in (((2, 2), (8, 8)), ((8, 8), (2, 2)), ((4, 4), (8, 8)), ((5, 3), (4, 6)),
                              ((1, 3), (4, 4)), ((8, 8), (8, 8)), ((4, 4), (16, 16)), ((4, 4), (4, 4)),
                              ((2, 2), (128, 128)), ((128, 128), (2, 2)), ((1, 3), (96, 64)),
@@ -294,7 +294,9 @@ def kron_example(shape_a, shape_b, seed):
     return example([rng.normal(size=shape_a), rng.normal(size=shape_b)], seed % 2 == 0, seed % 3 == 0)
 
 
-# on both sides of the row path's floor of 4,096 output entries, and at it
+# each example runs in both orders: (16, 16) ⊗ (4, 4) puts a's columns innermost and its swap b's,
+# (5, 32) ⊗ (4, 31) does so by one column, and the square ties put b's columns innermost both ways;
+# the drawn operands cover 1-row and 1-column sides
 @kron_example((4, 4), (4, 4), 1)
 @kron_example((4, 4), (8, 8), 2)
 @kron_example((4, 4), (15, 17), 3)

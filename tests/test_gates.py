@@ -683,16 +683,19 @@ def test_a_cut_through_and_and_or_gives_the_exact_classical_product():
 
 @pytest.mark.parametrize("shape_a, shape_b", [
     ((8, 8), (2, 2)), ((2, 2), (8, 8)), ((4, 4), (4, 4)), ((1, 4), (2, 1)), ((2, 1), (1, 4)),
-    # both sides have 4 rows or more: each output row is written in one pass
     ((4, 4), (8, 8)), ((16, 16), (32, 32)), ((32, 32), (4, 4)),
     # the non-square factors of circuits whose gates shrink the width
     ((2, 4), (8, 8)), ((16, 16), (4, 16)), ((4, 8), (16, 4)), ((8, 4), (4, 2)),
+    # with (32, 32) ⊗ (4, 4) above, the joins that the `circuits` benchmark workload makes at seed 7
+    ((128, 128), (2, 2)), ((64, 64), (2, 2)), ((2, 2), (64, 64)),
 ])
 def test_the_join_is_numpys_kron_bit_for_bit(shape_a, shape_b):
     rng = np.random.default_rng(163)
     a = rng.normal(size=shape_a) + 1j * rng.normal(size=shape_a)
     b = rng.normal(size=shape_b)
-    for x, y in ((a, b), (b, a), (a.real, b), (b, a.real)):
+    fortran_a, fortran_b = np.asfortranarray(a), np.asfortranarray(b)
+    for x, y in ((a, b), (b, a), (a.real, b), (b, a.real), (fortran_a, fortran_b), (fortran_b, a.real),
+                 (a.T, b), (b.T, a.T)):
         got, want = ketsim.algebra._kron(x, y), np.kron(x, y)
         assert got.dtype == want.dtype and got.shape == want.shape and got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
