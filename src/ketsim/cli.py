@@ -23,7 +23,6 @@ import functools
 import math
 import os
 import sys
-import warnings
 from collections.abc import Iterator
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -124,16 +123,14 @@ def _bulk_entries(body: list[str], shape: tuple[int, ...]) -> np.ndarray | None:
 
 
 def _columns(rows: list[str], k: int, width: int) -> list[np.ndarray] | None:
-    """numpy's C reader on rows of k ``intp`` then ``float64`` fields, or None if it fails or warns.
+    """numpy's C reader on rows of k ``intp`` then ``float64`` fields, or None if it fails.
 
-    Its floats are ``float``'s (``PyOS_string_to_double``); numpy < 2 warns on an index ``1.0``."""
+    Its floats are ``float``'s (``PyOS_string_to_double``)."""
     dtype = np.dtype([(f"f{i}", np.intp if i < k else np.float64) for i in range(width)])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            return np.loadtxt(rows, dtype, comments="#", ndmin=1, unpack=True)
-        except (ValueError, OverflowError, Warning):
-            return None
+    try:
+        return np.loadtxt(rows, dtype, comments="#", ndmin=1, unpack=True)
+    except (ValueError, OverflowError):
+        return None
 
 
 def parse_graph(text: str) -> np.ndarray:

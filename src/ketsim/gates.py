@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -29,14 +29,13 @@ class Gate:
     """A named matrix on fixed input/output wires, checked once when built; read-only after.
 
     Every product of gates (``identity``, ``sequential``, ``parallel``,
-    ``circuit_matrix``) is made by ``_product_gate`` from its Kronecker
-    parts, with a bound on its deviation in place of a second check.  A
-    quantum product kept in two parts, top and below (a cut
-    ``circuit_matrix`` result), joins its ``matrix`` when it is first read
-    (``__getattr__``), then keeps it.  Until then the gate holds
-    4^p + 4^(n-p) entries for a cut after p of its n wires, in place of
-    4^n.  Two threads that read it first at once may each join it, to the
-    same bytes.
+    ``circuit_matrix``) is made by ``_product_gate``, with a bound on its
+    deviation in place of a second check.  A quantum ``circuit_matrix``
+    result whose bound is within DEFAULT_TOL keeps its circuit's layers,
+    contracts its ``matrix`` when it is first read (``__getattr__``), then
+    keeps it; until then ``apply`` runs the layers on the state.  Two
+    threads that read it first at once may each contract it, to the same
+    bytes.
     """
 
     name: str
@@ -78,10 +77,10 @@ class Gate:
 
     def __getattr__(self, name):
         # Reached only when ``name`` is not set, so a gate whose matrix is set pays nothing here.
-        sides = vars(self).get("_sides")
-        if name != "matrix" or sides is None:
+        layers = vars(self).get("_layers")
+        if name != "matrix" or layers is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        m = _kron(*sides)
+        m = _parts(self.in_bits, layers, True)[0]
         m.setflags(write=False)
         vars(self)["matrix"] = m
         return m
@@ -134,35 +133,30 @@ def _product_bound(a: float, b: float, dot: int, columns: int) -> float:
     return _grown(_grown(a, phi * (2 + phi)), b)
 
 
-def _product_gate(name: str, parts: tuple[np.ndarray, ...], in_bits: int, out_bits: int, quantum: bool,
+def _product_gate(name: str, m: np.ndarray | tuple, in_bits: int, out_bits: int, quantum: bool,
                   bound: float) -> Gate:
-    """The gate whose matrix is the Kronecker product of ``parts``, new products of checked gates
-    (or the identity), kept without a copy: every product gate is made here.
+    """The gate of ``m``: a new product of checked gates (or the identity), kept without a copy, or
+    a circuit's layers, contracted when the gate's ``matrix`` is first read.  Every product gate is
+    made here.
 
-    A quantum product whose ``bound`` (``_product_bound``, the join's
-    rounding included) is within DEFAULT_TOL passes ``validate``, so it is
-    not checked again, and one of two parts keeps them as its sides, top
-    and below, joined when its ``matrix`` is first read.  Every other
-    product is joined here: a quantum one past DEFAULT_TOL is checked as any
-    new gate is, and a classical one is checked to be finite, as ``Gate``
-    checks it, since finite parts can multiply past the float range.
+    A product whose ``bound`` (``_product_bound``) is within DEFAULT_TOL
+    passes ``validate``, so it is not checked again; layers come here only
+    then.  A quantum matrix past DEFAULT_TOL is checked as any new gate is,
+    and a classical one is checked to be finite, as ``Gate`` checks it,
+    since finite parts can multiply past the float range.
     """
     g = object.__new__(Gate)  # the fields Gate.__post_init__ would set, and the bound
     vars(g).update(name=name, in_bits=in_bits, out_bits=out_bits, quantum=quantum,
                    _bound=bound if quantum else math.inf)
-    if quantum and len(parts) == 2 and bound <= DEFAULT_TOL:
-        vars(g)["_sides"] = parts
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):  # a product that is not finite is refused below
-            m = reduce(_kron, parts)
-        if not quantum:
-            as_matrix(m)
-        elif bound > DEFAULT_TOL:
-            refuse(m, "quantum", DEFAULT_TOL, f"gate {name!r} flagged quantum but ")
-        vars(g)["matrix"] = m
-        parts = (m,)
-    for part in parts:
-        part.setflags(write=False)
+    if isinstance(m, tuple):
+        vars(g)["_layers"] = m
+        return g
+    if not quantum:
+        as_matrix(m)
+    elif bound > DEFAULT_TOL:
+        refuse(m, "quantum", DEFAULT_TOL, f"gate {name!r} flagged quantum but ")
+    m.setflags(write=False)
+    vars(g)["matrix"] = m
     return g
 
 
@@ -188,7 +182,7 @@ def _identity_name(wires: int) -> str:
 def identity(wires: int) -> Gate:
     """Identity gate on the given number of wires: exactly unitary, so built without ``validate``."""
     wires = as_count(wires, "wires")
-    return _product_gate(_identity_name(wires), (np.eye(2**wires),), wires, wires, True, 0.0)
+    return _product_gate(_identity_name(wires), np.eye(2**wires), wires, wires, True, 0.0)
 
 
 # Built and validated once: a Gate is frozen and its matrix read-only, so lookups share it.  A 0/1
@@ -226,7 +220,7 @@ def sequential(first: Gate, second: Gate) -> Gate:
             f"cannot run {second.name!r} ({second.in_bits} wires in) after "
             f"{first.name!r} ({first.out_bits} wires out)"
         )
-    return _product_gate(f"{first.name}>{second.name}", (_product(np.matmul, second.matrix, first.matrix),),
+    return _product_gate(f"{first.name}>{second.name}", _product(np.matmul, second.matrix, first.matrix),
                          first.in_bits, second.out_bits, first.quantum and second.quantum,
                          _product_bound(second._bound, first._bound, 2**second.in_bits, 2**first.in_bits))
 
@@ -234,7 +228,7 @@ def sequential(first: Gate, second: Gate) -> Gate:
 def parallel(top: Gate, bottom: Gate) -> Gate:
     """Gate acting as ``top`` on the upper wires and ``bottom`` on the lower."""
     in_bits = top.in_bits + bottom.in_bits
-    return _product_gate(f"{top.name}|{bottom.name}", (_product(_kron, top.matrix, bottom.matrix),),
+    return _product_gate(f"{top.name}|{bottom.name}", _product(_kron, top.matrix, bottom.matrix),
                          in_bits, top.out_bits + bottom.out_bits, top.quantum and bottom.quantum,
                          _product_bound(top._bound, bottom._bound, 1, 2**in_bits))
 
@@ -242,12 +236,11 @@ def parallel(top: Gate, bottom: Gate) -> Gate:
 def apply(g: Gate, state) -> np.ndarray:
     """Send a state through a gate: the product ``g.matrix @ state``, finite or refused.
 
-    A gate that keeps two sides (a cut ``circuit_matrix`` result) is
-    applied side by side, with no 2^n × 2^n matrix: by (A ⊗ B)·vec(X) =
-    vec(A X Bᵀ), for X the state as a grid of 2^(top wires) rows (Van
-    Loan, *The ubiquitous Kronecker product*, J. Comput. Appl. Math. 123,
-    2000).  It takes this path whether or not ``g.matrix`` has been read,
-    and agrees with ``g.matrix @ state`` up to rounding, not bit for bit.
+    A gate that keeps its circuit's layers (a ``circuit_matrix`` result)
+    runs them on the state as ``_contract`` runs them on the identity, one
+    gate at a time, with no 2^n × 2^n matrix.  It takes this path whether
+    or not ``g.matrix`` has been read, and agrees with ``g.matrix @ state``
+    up to rounding, not bit for bit.
     """
     x = np.asarray(state)
     if x.ndim != 1 or x.shape[0] != 2**g.in_bits:
@@ -255,11 +248,11 @@ def apply(g: Gate, state) -> np.ndarray:
         raise ValueError(
             f"gate {g.name!r} expects a state of dimension {2**g.in_bits}, got {got}"
         )
-    sides = vars(g).get("_sides")
-    if sides is None:
+    layers = vars(g).get("_layers")
+    if layers is None:
         return _product(np.matmul, g.matrix, as_state(x))
-    top, below = sides
-    return _product(lambda a, v: (a @ v.reshape(a.shape[1], -1) @ below.T).reshape(-1), top, as_state(x))
+    y = as_state(x).astype(np.result_type(x, float))  # cast as g.matrix @ x would cast it
+    return _product(lambda _, v: _contract(g.in_bits, layers, v)[0], y, y)  # the product rule, on the layers
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,37 +338,41 @@ def _cut(wires: int, layers: tuple[tuple[Gate, ...], ...]) -> tuple[int, tuple[i
     return p, cuts[p][1]
 
 
-def _contract(wires: int, layers: tuple[tuple[Gate, ...], ...]) -> tuple[np.ndarray, float]:
-    """The matrix of layers on ``wires`` input wires, one gate at a time, and its bound."""
-    total = np.eye(2**wires)
+def _contract(wires: int, layers: tuple[tuple[Gate, ...], ...], total: np.ndarray | None
+              ) -> tuple[np.ndarray | None, float]:
+    """Layers on ``wires`` input wires applied to ``total``, one gate at a time, and their bound.
+
+    ``total`` is the identity, for the layers' matrix, a state of
+    dimension 2^wires, or None, for the bound alone.
+    """
     bound = 0.0
     for layer in layers:
         above = 0  # output wires of the gates already applied in this layer
         for g in layer:
             if not g._identity:
-                block = total.reshape(2**above, 2**g.in_bits, -1)
-                total = np.matmul(g.matrix, block).reshape(-1, 2**wires)
+                if total is not None:
+                    block = total.reshape(2**above, 2**g.in_bits, -1)
+                    total = np.matmul(g.matrix, block).reshape((-1,) + total.shape[1:])
                 bound = _product_bound(g._bound, bound, 2**g.in_bits, 2**wires)
             above += g.out_bits
     return total, bound
 
 
-def _parts(wires: int, layers: tuple[tuple[Gate, ...], ...]) -> tuple[tuple[np.ndarray, ...], float]:
-    """The matrix of layers on ``wires`` input wires as its Kronecker factors, and its bound.
+def _parts(wires: int, layers: tuple[tuple[Gate, ...], ...], contract: bool
+           ) -> tuple[np.ndarray | None, float]:
+    """The matrix of layers on ``wires`` input wires (if ``contract``, else None), and its bound.
 
-    Uncut by ``_cut``, the one factor is the layers contracted whole.  Cut,
-    the two factors are the sides above and below, each worked out by
-    ``_parts`` and joined, and the bound allows for their join's rounding
-    as ``parallel``'s does.
+    Uncut by ``_cut``, the layers are contracted whole.  Cut, the sides
+    above and below are each worked out by ``_parts`` and joined, and the
+    bound allows for their join's rounding as ``parallel``'s does.
     """
     cut = _cut(wires, layers)
     if cut is None:
-        total, bound = _contract(wires, layers)
-        return (total,), bound
+        return _contract(wires, layers, np.eye(2**wires) if contract else None)
     p, at = cut
-    (top, a), (below, b) = (_parts(p, tuple(layer[:k] for layer, k in zip(layers, at))),
-                            _parts(wires - p, tuple(layer[k:] for layer, k in zip(layers, at))))
-    return (reduce(_kron, top), reduce(_kron, below)), _product_bound(a, b, 1, 2**wires)
+    (top, a), (below, b) = (_parts(p, tuple(layer[:k] for layer, k in zip(layers, at)), contract),
+                            _parts(wires - p, tuple(layer[k:] for layer, k in zip(layers, at)), contract))
+    return _kron(top, below) if contract else None, _product_bound(a, b, 1, 2**wires)
 
 
 def circuit_matrix(c: Circuit) -> Gate:
@@ -402,11 +399,12 @@ def circuit_matrix(c: Circuit) -> Gate:
     rows, in place of a full-size pass per gate.  The result agrees with
     the per-gate product up to rounding, not bit for bit.
 
-    The result is made as every product gate is (``_product_gate``): a
-    cut quantum circuit whose bound (below) is within DEFAULT_TOL keeps its
-    two sides, its ``matrix`` is joined by the same Kronecker product when
-    first read, and ``apply`` sends a state through the two sides without
-    it.  Every other result is joined at once.
+    The result is made as every product gate is (``_product_gate``).  Its
+    bound (below) is worked out first, by the same walk with no
+    contraction.  A quantum result within DEFAULT_TOL, cut or not, keeps
+    the circuit's layers: its ``matrix`` is contracted as above when first
+    read, and ``apply`` runs the layers on the state without it.  Every
+    other result is contracted, and checked, at once.
 
     Each gate was checked when it was built, so the result is not
     validated again while it is sure to pass: every quantum gate carries
@@ -422,6 +420,9 @@ def circuit_matrix(c: Circuit) -> Gate:
     name = _identity_name(c.wires) + "".join(
         ">" + "|".join(g.name for g in layer) for layer in c.layers if layer)
     quantum = all(g.quantum for layer in c.layers for g in layer)
+    bound = _parts(c.wires, c.layers, False)[1] if quantum else math.inf
+    if bound <= DEFAULT_TOL:
+        return _product_gate(name, c.layers, c.wires, c.wires, True, bound)
     with np.errstate(over="ignore", invalid="ignore"):  # a result that is not finite is refused when made
-        parts, bound = _parts(c.wires, c.layers)
-    return _product_gate(name, parts, c.wires, c.out_wires, quantum, bound)
+        m = _parts(c.wires, c.layers, True)[0]
+    return _product_gate(name, m, c.wires, c.out_wires, quantum, bound)

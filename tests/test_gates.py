@@ -352,7 +352,7 @@ def test_a_circuit_of_quantum_gates_reads_no_matrix_to_tell_them_apart():
     g = circuit_matrix(Circuit(8, [[H] * 8]))
     Circuit(8, [[g]])
     Circuit(9, [[g, standard_gate("NOT")], [I1, g]])
-    assert "matrix" not in vars(g)  # its sides were not joined to ask whether it is a 0/1 gate
+    assert "matrix" not in vars(g)  # its layers were not contracted to ask whether it is a 0/1 gate
     for layers in ([[H, I1], [standard_gate("AND")]], [[standard_gate("AND")], [H]]):
         with pytest.raises(ValueError) as exc:
             Circuit(2, layers)
@@ -489,7 +489,7 @@ def cut(c):
 def joins_of(c):
     """circuit_matrix(c), and the (top, below) shapes of the Kronecker joins made for its matrix, in order.
 
-    The matrix is read inside the spy, since a cut quantum result joins its two sides at that read.
+    The matrix is read inside the spy, since a quantum result contracts its layers at that read.
     """
     shapes = []
 
@@ -769,10 +769,10 @@ def test_every_kind_of_gate_keeps_its_exact_bound():
     assert sequential(H, H)._bound == 9.769962616701412e-15
     assert sequential(H, not_)._bound == 6.6613381477509534e-15
     assert parallel(H, cnot)._bound == 5.620772402844488e-15
-    unjoined = circuit_matrix(Circuit(8, [[H] * 8, [cnot] * 4]))
-    joined = circuit_matrix(Circuit(4, [[H] * 4, [cnot, cnot], [H, cnot, H]]))
-    assert "matrix" not in vars(unjoined) and unjoined._bound == 2.331554220730569e-13
-    assert "matrix" in vars(joined) and joined._bound == 1.6420842551838432e-13
+    cut_at_4 = circuit_matrix(Circuit(8, [[H] * 8, [cnot] * 4]))
+    uncut = circuit_matrix(Circuit(4, [[H] * 4, [cnot, cnot], [H, cnot, H]]))
+    assert "matrix" not in vars(cut_at_4) and cut_at_4._bound == 2.331554220730569e-13
+    assert "matrix" not in vars(uncut) and uncut._bound == 1.6420842551838432e-13
 
 
 def assert_within_bound(g):
@@ -921,7 +921,7 @@ def test_the_deterministic_flag_is_read_from_the_matrix():
         Circuit(3, [[z, standard_gate("AND")]])
 
 
-# --- a cut quantum circuit is joined only when its matrix is read ---------------------
+# --- a quantum circuit keeps its layers, and contracts them when its matrix is read ---
 
 EPS = np.finfo(float).eps
 
@@ -941,18 +941,18 @@ def unjoined_circuits(seed, count=12, most=10):
 
 
 def eager_join(c):
-    """A cut circuit's matrix joined at once: ``_kron`` of its two sides, each its ``_parts`` joined."""
+    """A cut circuit's matrix joined at once: ``_kron`` of its two sides' own ``circuit_matrix`` results."""
     p, at = cut(c)
-    sides = (ketsim.gates._parts(p, tuple(layer[:k] for layer, k in zip(c.layers, at)))[0],
-             ketsim.gates._parts(c.wires - p, tuple(layer[k:] for layer, k in zip(c.layers, at)))[0])
-    return ketsim.algebra._kron(*(reduce(ketsim.algebra._kron, parts) for parts in sides))
+    top = Circuit(p, [layer[:k] for layer, k in zip(c.layers, at)])
+    below = Circuit(c.wires - p, [layer[k:] for layer, k in zip(c.layers, at)])
+    return ketsim.algebra._kron(circuit_matrix(top).matrix, circuit_matrix(below).matrix)
 
 
-def test_a_cut_quantum_circuit_keeps_its_sides_until_its_matrix_is_read():
+def test_a_quantum_circuit_keeps_its_layers_until_its_matrix_is_read():
     dtypes = set()
     for c in unjoined_circuits(191):
         g = circuit_matrix(c)
-        assert "matrix" not in vars(g) and g._bound <= DEFAULT_TOL
+        assert "matrix" not in vars(g) and g._layers is c.layers and g._bound <= DEFAULT_TOL
         assert (g.in_bits, g.out_bits, g.quantum) == (c.wires, c.wires, True)
         m = g.matrix
         assert "matrix" in vars(g) and g.matrix is m and not m.flags.writeable
@@ -972,7 +972,7 @@ def test_apply_runs_the_two_sides_and_agrees_with_the_matrix_product():
         g = circuit_matrix(c)
         xs = (rng.normal(size=2**c.wires), rng.normal(size=2**c.wires) + 1j * rng.normal(size=2**c.wires))
         before = [apply(g, x) for x in xs]
-        assert "matrix" not in vars(g)  # applied without joining
+        assert "matrix" not in vars(g)  # applied without contracting its matrix
         for x, got in zip(xs, before):
             want = g.matrix @ x
             assert got.dtype == want.dtype and got.shape == want.shape
@@ -1031,17 +1031,83 @@ def test_no_full_size_join_is_made_until_the_matrix_is_read(monkeypatch):
         sizes.clear()
         g = circuit_matrix(c)
         apply(g, ket_of_bits("0" * c.wires))
-        assert all(size < 4**c.wires for size in sizes)
+        assert sizes == []  # the layers run on the state, with no join at all
         g.matrix
         assert sizes[-1] == 4**c.wires
 
 
-def test_classical_uncut_and_unbounded_results_are_joined_at_once():
+def test_only_quantum_results_within_their_bound_keep_their_layers():
     not_, cnot = standard_gate("NOT"), standard_gate("CNOT")
-    for c in (Circuit(8, [[standard_gate("AND")] * 4, [not_] * 4]),  # classical: cut, joined to check it
-              Circuit(8, [[H] * 8, [cnot] * 4, [H, cnot, cnot, cnot, H]]),  # quantum, but no free wire
+    for c in (Circuit(8, [[H] * 8, [cnot] * 4]),  # cut
+              Circuit(8, [[H] * 8, [cnot] * 4, [H, cnot, cnot, cnot, H]]),  # no free wire
               Circuit(4, [[H] * 4])):  # narrower than _CUT_WIRES
-        assert "matrix" in vars(circuit_matrix(c))
-    u = rotation(1 + 1e-10)  # its summed bound passes DEFAULT_TOL: validated, so joined now
-    got = circuit_matrix(Circuit(8, [[u] + [H] * 7] * 3))
-    assert got._bound > DEFAULT_TOL and "matrix" in vars(got)
+        g = circuit_matrix(c)
+        assert "matrix" not in vars(g) and g._layers is c.layers
+    classical = circuit_matrix(Circuit(8, [[standard_gate("AND")] * 4, [not_] * 4]))  # contracted to check it
+    u = rotation(1 + 1e-10)  # its summed bound passes DEFAULT_TOL: validated, so contracted now
+    unbounded = circuit_matrix(Circuit(8, [[u] + [H] * 7] * 3))
+    assert unbounded._bound > DEFAULT_TOL
+    for g in (classical, unbounded, identity(3), sequential(H, H), parallel(H, cnot)):
+        assert "matrix" in vars(g) and "_layers" not in vars(g)
+
+
+def brickwork(wires, depth):
+    """H layers alternating with CNOT layers at offsets 0 and 1, so no wire is free."""
+    cnot, layers = standard_gate("CNOT"), []
+    for t in range(depth):
+        layers.append([H] * wires)
+        layers.append([cnot] * (wires // 2) if t % 2 == 0 else [I1] + [cnot] * ((wires - 1) // 2) + [I1])
+    return Circuit(wires, layers)
+
+
+def einsum_state(c, x):
+    """The state after each gate of ``c`` in turn, by one einsum on that gate's own wires."""
+    psi, letters = np.asarray(x).reshape((2,) * c.wires), "abcdefghijklmnopqrstuvwxyz"
+    wire_sub = letters[:c.wires]
+    for layer in c.layers:
+        k = 0
+        for g in layer:
+            new, old = letters[c.wires:c.wires + g.in_bits], wire_sub[k:k + g.in_bits]
+            tensor = g.matrix.reshape((2,) * (2 * g.in_bits))
+            out = wire_sub[:k] + new + wire_sub[k + g.in_bits:]
+            psi = np.einsum(f"{new}{old},{wire_sub}->{out}", tensor, psi)
+            k += g.in_bits
+    return psi.reshape(-1)
+
+
+def test_an_uncut_twelve_wire_brickwork_is_applied_gate_by_gate_with_no_matrix():
+    c = brickwork(12, 5)
+    assert cut(c) is None
+    g = circuit_matrix(c)
+    rng = np.random.default_rng(233)
+    for x in (ket_of_bits("0" * 12), rng.normal(size=2**12) + 1j * rng.normal(size=2**12)):
+        got = apply(g, x)
+        assert got.dtype == np.result_type(x, float) and got.shape == (2**12,)
+        assert np.max(np.abs(got - einsum_state(c, x))) <= 1e-12
+    assert "matrix" not in vars(g) and g._bound <= DEFAULT_TOL
+
+
+def test_an_identity_only_circuit_and_an_int_state_keep_the_matrix_products_dtype():
+    cnot = standard_gate("CNOT")
+    for c in (Circuit(8, [[I1] * 8, [identity(3), identity(5)]]), Circuit(8, [[H] * 8, [cnot] * 4])):
+        g = circuit_matrix(c)
+        for x in (np.arange(2**8), np.arange(2**8, dtype=np.float32), np.ones(2**8, dtype=np.complex64),
+                  np.linspace(0, 1, 2**8)):
+            got, want = apply(g, x), g.matrix @ x
+            assert got.dtype == want.dtype and got.dtype in (np.float64, np.complex128)
+            assert np.max(np.abs(got - want)) <= 2 * 2**8 * EPS * np.linalg.norm(x)
+            assert not np.shares_memory(got, x)  # a fresh array, even where every gate is skipped
+
+
+def test_a_result_that_keeps_its_layers_is_a_gate_of_another_circuit():
+    inner = circuit_matrix(Circuit(8, [[H] * 8, [standard_gate("CNOT")] * 4]))
+    outer = Circuit(9, [[inner, standard_gate("NOT")], [I1, inner], [H] * 9])
+    g = circuit_matrix(outer)
+    assert "matrix" not in vars(g) and g._layers is outer.layers
+    x = np.random.default_rng(239).normal(size=2**9)
+    want = reference_circuit_matrix(outer).matrix
+    assert np.max(np.abs(apply(g, x) - want @ x)) <= 1e-12
+    assert np.max(np.abs(g.matrix - want)) <= 1e-12
+    assert_within_bound(g)
+    y = x[:2**8]
+    assert np.max(np.abs(apply(sequential(inner, inner), y) - inner.matrix @ (inner.matrix @ y))) <= 1e-12

@@ -53,3 +53,28 @@ def test_the_readme_quick_start_runs_as_written():
     done = subprocess.run([sys.executable, "-W", "error", "-c", code],
                           capture_output=True, text=True, check=False)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[0.25  0.375 0.375]\n", "")
+
+
+FAILING_PROPERTY = '''
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_a_property_that_fails(n):
+    assert n < 10
+
+
+def test_a_plain_test_after_it():
+    assert True
+'''
+
+
+def test_a_failing_property_test_is_reported_and_the_next_test_still_runs(tmp_path):
+    # hypothesis explains a failing example by importing libcst, which warns with a DeprecationWarning
+    # of its own; under this project's warning filters that must not abort the run (exit code 3)
+    (tmp_path / "test_two.py").write_text(FAILING_PROPERTY)
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-c", str(ROOT / "pyproject.toml"),
+                           "-p", "no:cacheprovider", "test_two.py"],
+                          cwd=tmp_path, capture_output=True, text=True, check=False)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "1 failed, 1 passed" in done.stdout and "INTERNALERROR" not in done.stdout + done.stderr
