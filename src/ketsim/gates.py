@@ -24,7 +24,7 @@ from .algebra import (DEFAULT_TOL, _column_map, _kron, _product, _unitary_deviat
 _EPS = float(np.finfo(float).eps)  # 2**-52, twice the unit roundoff of float64
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Gate:
     """A named matrix on fixed input/output wires, checked once when built; read-only after.
 
@@ -35,7 +35,7 @@ class Gate:
     contracts its ``matrix`` when it is first read (``__getattr__``), then
     keeps it; until then ``apply`` runs the layers on the state.  Two
     threads that read it first at once may each contract it, to the same
-    bytes.
+    bytes.  Its ``repr`` names it and its wires, and never reads the matrix.
     """
 
     name: str
@@ -85,6 +85,10 @@ class Gate:
         vars(self)["matrix"] = m
         return m
 
+    def __repr__(self):
+        return (f"Gate({self.name!r}, in_bits={self.in_bits}, out_bits={self.out_bits}, "
+                f"quantum={self.quantum})")
+
     # Facts about the read-only matrix, each worked out once, when first asked for.
 
     @cached_property
@@ -93,7 +97,15 @@ class Gate:
 
     @cached_property
     def _identity(self) -> bool:
-        """Exactly the real identity, so contracting it changes no value (only the sign of a zero)."""
+        """Exactly the real identity, so contracting it changes no value (only the sign of a zero).
+
+        A gate that keeps its layers counts as the identity when each of their gates does, since
+        skipping them all leaves the real identity as it is.  That is told without its matrix, so
+        a product that is exactly I by cancellation (NOT then NOT) counts as no identity.
+        """
+        layers = vars(self).get("_layers")
+        if layers is not None:
+            return all(g._identity for layer in layers for g in layer)
         m = self.matrix
         return m.dtype == np.float64 and np.array_equal(m, np.eye(m.shape[1]))
 
@@ -237,10 +249,11 @@ def apply(g: Gate, state) -> np.ndarray:
     """Send a state through a gate: the product ``g.matrix @ state``, finite or refused.
 
     A gate that keeps its circuit's layers (a ``circuit_matrix`` result)
-    runs them on the state as ``_contract`` runs them on the identity, one
-    gate at a time, with no 2^n × 2^n matrix.  It takes this path whether
-    or not ``g.matrix`` has been read, and agrees with ``g.matrix @ state``
-    up to rounding, not bit for bit.
+    runs them on the state with ``_contract``, one gate at a time, with no
+    2^n × 2^n matrix and no bound: the bound was worked out when the gate
+    was made, and the product rule checks the result.  It takes this path
+    whether or not ``g.matrix`` has been read, and agrees with
+    ``g.matrix @ state`` up to rounding, not bit for bit.
     """
     x = np.asarray(state)
     if x.ndim != 1 or x.shape[0] != 2**g.in_bits:
@@ -252,7 +265,7 @@ def apply(g: Gate, state) -> np.ndarray:
     if layers is None:
         return _product(np.matmul, g.matrix, as_state(x))
     y = as_state(x).astype(np.result_type(x, float))  # cast as g.matrix @ x would cast it
-    return _product(lambda _, v: _contract(g.in_bits, layers, v)[0], y, y)  # the product rule, on the layers
+    return _product(lambda _, v: _contract(layers, v), y, y)  # the product rule, on the layers
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,37 +351,62 @@ def _cut(wires: int, layers: tuple[tuple[Gate, ...], ...]) -> tuple[int, tuple[i
     return p, cuts[p][1]
 
 
-def _contract(wires: int, layers: tuple[tuple[Gate, ...], ...], total: np.ndarray | None
-              ) -> tuple[np.ndarray | None, float]:
-    """Layers on ``wires`` input wires applied to ``total``, one gate at a time, and their bound.
+def _bound(wires: int, layers: tuple[tuple[Gate, ...], ...]) -> float:
+    """The bound of layers on ``wires`` input wires, contracted by ``_contract`` on the identity.
 
-    ``total`` is the identity, for the layers' matrix, a state of
-    dimension 2^wires, or None, for the bound alone.
+    Each gate ``_contract`` does not skip is one product on the 2^wires
+    columns, so its bound is folded in as ``sequential`` folds a second
+    gate's, in the order the gates run.  A gate that keeps its own layers
+    is placed as one gate, by its own bound.
     """
     bound = 0.0
     for layer in layers:
-        above = 0  # output wires of the gates already applied in this layer
         for g in layer:
             if not g._identity:
-                if total is not None:
-                    block = total.reshape(2**above, 2**g.in_bits, -1)
-                    total = np.matmul(g.matrix, block).reshape((-1,) + total.shape[1:])
                 bound = _product_bound(g._bound, bound, 2**g.in_bits, 2**wires)
+    return bound
+
+
+def _contract(layers: tuple[tuple[Gate, ...], ...], total: np.ndarray, offset: int = 0) -> np.ndarray:
+    """Layers applied to ``total``, the identity (for their matrix) or a state, one gate at a time.
+
+    The gate after ``above`` output wires acts on the middle axis of ``total``
+    viewed as (2^above, 2^in, rest), by one batched matmul, or, on a state's
+    last wires (rest is 1), by one matrix product of the (2^above, 2^in) view
+    with the gate's transpose.  An identity gate is skipped (a gate that keeps
+    its layers is one when all of theirs are).  On a state, a gate that
+    keeps its own layers runs them, ``offset`` wires down; on the
+    identity its matrix is read, as its bound covers it, and that matrix is
+    no larger than the one being made.
+    """
+    columns = total.shape[1:]  # (2^wires,) for the identity, () for a state
+    for layer in layers:
+        above = offset  # output wires above this gate: those of the gates already applied in this layer
+        for g in layer:
+            if not g._identity:
+                if total.ndim == 1 and "_layers" in vars(g):
+                    total = _contract(g._layers, total, above)
+                else:
+                    a, k = 1 << above, 1 << g.in_bits
+                    out = (total.reshape(a, k) @ g.matrix.T if total.size == a * k
+                           else np.matmul(g.matrix, total.reshape(a, k, -1)))
+                    total = out.reshape((-1,) + columns)
             above += g.out_bits
-    return total, bound
+    return total
 
 
 def _parts(wires: int, layers: tuple[tuple[Gate, ...], ...], contract: bool
            ) -> tuple[np.ndarray | None, float]:
     """The matrix of layers on ``wires`` input wires (if ``contract``, else None), and its bound.
 
-    Uncut by ``_cut``, the layers are contracted whole.  Cut, the sides
-    above and below are each worked out by ``_parts`` and joined, and the
-    bound allows for their join's rounding as ``parallel``'s does.
+    Uncut by ``_cut``, the bound is ``_bound``'s, and the matrix is
+    ``_contract``'s on the identity.  Cut, the sides above and below are
+    each worked out by ``_parts`` and joined, and the bound allows for
+    their join's rounding as ``parallel``'s does.
     """
     cut = _cut(wires, layers)
     if cut is None:
-        return _contract(wires, layers, np.eye(2**wires) if contract else None)
+        return _contract(layers, np.eye(2**wires)) if contract else None, _bound(wires, layers)
     p, at = cut
     (top, a), (below, b) = (_parts(p, tuple(layer[:k] for layer, k in zip(layers, at)), contract),
                             _parts(wires - p, tuple(layer[k:] for layer, k in zip(layers, at)), contract))
@@ -386,7 +424,8 @@ def circuit_matrix(c: Circuit) -> Gate:
     (2^above, 2^in, 2^below * columns) and contracting the gate's wires
     with one batched matmul, O(4^n * 2^k) per k-wire gate instead of
     O(8^n) per layer.  A gate whose matrix is exactly the identity is
-    skipped.
+    skipped, and so is a result that keeps its layers when all of their
+    gates are; it is told from them, so its matrix is not read for that.
 
     Where no gate of any layer crosses a cut between two input wires,
     the circuit is the tensor product of the sub-circuits above and below
@@ -400,8 +439,9 @@ def circuit_matrix(c: Circuit) -> Gate:
     the per-gate product up to rounding, not bit for bit.
 
     The result is made as every product gate is (``_product_gate``).  Its
-    bound (below) is worked out first, by the same walk with no
-    contraction.  A quantum result within DEFAULT_TOL, cut or not, keeps
+    bound (below) is worked out first, over the same cuts, by ``_bound``'s
+    walk over the gates, with no contraction.  A quantum result within
+    DEFAULT_TOL, cut or not, keeps
     the circuit's layers: its ``matrix`` is contracted as above when first
     read, and ``apply`` runs the layers on the state without it.  Every
     other result is contracted, and checked, at once.

@@ -1105,9 +1105,82 @@ def test_a_result_that_keeps_its_layers_is_a_gate_of_another_circuit():
     g = circuit_matrix(outer)
     assert "matrix" not in vars(g) and g._layers is outer.layers
     x = np.random.default_rng(239).normal(size=2**9)
+    got = apply(g, x)
+    assert "matrix" not in vars(inner)  # its bound and its run on the state read only its layers
     want = reference_circuit_matrix(outer).matrix
-    assert np.max(np.abs(apply(g, x) - want @ x)) <= 1e-12
+    assert np.max(np.abs(got - want @ x)) <= 1e-12
     assert np.max(np.abs(g.matrix - want)) <= 1e-12
     assert_within_bound(g)
     y = x[:2**8]
     assert np.max(np.abs(apply(sequential(inner, inner), y) - inner.matrix @ (inner.matrix @ y))) <= 1e-12
+
+
+def test_a_layered_product_that_is_exactly_the_identity_is_placed_by_its_bound():
+    # told from its layers, NOT then NOT is no identity, though its matrix is exactly I
+    not_not = circuit_matrix(Circuit(1, [[standard_gate("NOT")], [standard_gate("NOT")]]))
+    assert not not_not._identity and "matrix" not in vars(not_not)
+    outer = circuit_matrix(Circuit(2, [[not_not, H]]))
+    assert outer._bound == 2.026264356212778e-14  # with NOT·NOT skipped, H's alone: 8.13292033673854e-15
+    assert np.array_equal(not_not.matrix, np.eye(2))
+    assert np.array_equal(outer.matrix, parallel(identity(1), H).matrix)
+    assert_within_bound(outer)
+
+
+def test_a_gates_repr_names_it_and_its_wires_and_reads_no_matrix():
+    small, wide = circuit_matrix(Circuit(4, [[H] * 4])), circuit_matrix(brickwork(16, 20))  # wide: 32 GiB
+    assert repr(small) == str(small) == "Gate('I(4)>H|H|H|H', in_bits=4, out_bits=4, quantum=True)"
+    assert repr(wide) == str(wide) == f"Gate({wide.name!r}, in_bits=16, out_bits=16, quantum=True)"
+    assert "matrix" not in vars(small) and "matrix" not in vars(wide)
+    assert repr(standard_gate("AND")) == "Gate('AND', in_bits=2, out_bits=1, quantum=False)"
+    assert repr(identity(3)) == "Gate('I(3)', in_bits=3, out_bits=3, quantum=True)"
+
+
+def random_layered_circuit(rng, wires, inner=True):
+    """1-5 layers of H, NOT, I, CNOT and random unitaries on one or two wires (so not all symmetric),
+    each ending in a gate other than I on the last one or two wires, some with I(0) at their edges,
+    and (if ``inner``) some holding a layered result on up to 6 wires."""
+    layers = []
+    for _ in range(int(rng.integers(1, 6))):
+        k = int(rng.integers(1, min(wires, 2) + 1))
+        last = (random_unitary_gate(rng, k) if rng.random() < 0.4
+                else standard_gate("CNOT" if k == 2 else ("H", "NOT")[int(rng.integers(2))]))
+        layer = random_layer(rng, wires - k, QUANTUM_GATES) + [last]
+        if inner and rng.random() < 0.3:  # a layered gate on the top or the last wires
+            w = int(rng.integers(1, min(wires, 6) + 1))
+            g = circuit_matrix(random_layered_circuit(rng, w, inner=False))
+            rest = random_layer(rng, wires - w, QUANTUM_GATES)
+            layer = [g] + rest if rng.random() < 0.5 else rest + [g]
+        for at in (0, len(layer)):
+            if rng.random() < 0.3:
+                layer.insert(at, identity(0))
+        layers.append(layer)
+    return Circuit(wires, layers)
+
+
+def test_apply_of_random_layered_circuits_is_the_per_gate_state():
+    rng = np.random.default_rng(241)
+    states = (lambda n: rng.normal(size=n), lambda n: rng.normal(size=n) + 1j * rng.normal(size=n),
+              lambda n: rng.normal(size=n).astype(np.float32), lambda n: rng.integers(-3, 4, size=n))
+    for t in range(96):
+        c = random_layered_circuit(rng, 1 + t % 12)
+        g, x = circuit_matrix(c), states[t % 4](2**c.wires)
+        assert "_layers" in vars(g)
+        got = apply(g, x)
+        assert "matrix" not in vars(g) and got.shape == x.shape
+        assert apply(g, x).tobytes() == got.tobytes()
+        assert np.max(np.abs(got - einsum_state(c, x))) <= 1e-12
+        # g.matrix's dtype, from its gates' (an inner layered gate's matrix is at most 2^6 square)
+        assert got.dtype == np.result_type(x, np.float64, *(h.matrix for layer in c.layers for h in layer))
+        if c.wires <= 8:
+            assert got.dtype == (g.matrix @ x).dtype and apply(g, x).tobytes() == got.tobytes()
+
+
+def test_apply_of_a_layered_gate_works_out_no_bound(monkeypatch):
+    calls, real = [], ketsim.gates._product_bound
+    monkeypatch.setattr(ketsim.gates, "_product_bound", lambda *args: calls.append(args) or real(*args))
+    c = brickwork(12, 5)
+    g = circuit_matrix(c)
+    assert len(calls) == sum(h is not I1 for layer in c.layers for h in layer)  # the spy sees the bound walk
+    calls.clear()
+    apply(g, ket_of_bits("0" * 12))
+    assert calls == []
